@@ -491,19 +491,31 @@ func BenchmarkOptimizeGrid(b *testing.B) {
 	}
 }
 
-// BenchmarkCanonHashSweep measures cache-key derivation for a sweep-sized
-// request (system + message + options + 64-point grid) — the fixed
-// per-request overhead the cache adds to every hit.
-func BenchmarkCanonHashSweep(b *testing.B) {
-	sys := cluster.System1120()
+// BenchmarkCacheKey measures the cache-key pass of an evaluate or sweep
+// request: the model's inputs written by cluster class plus a 64-point
+// grid, hashed. N=1120 has three classes; explicit-32 gives each of its
+// 32 clusters its own class, the most a 32-cluster system can have.
+func BenchmarkCacheKey(b *testing.B) {
+	explicit := cluster.System1120()
+	for i := range explicit.Clusters {
+		explicit.Clusters[i].ICN1.Bandwidth += float64(i)
+	}
 	msg := netchar.MessageSpec{Flits: 32, FlitBytes: 256}
-	opt := core.Options{}
 	grid := core.LambdaGrid(1e-5, 4.5e-4, 64)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := canon.Hash("sweep", sys, msg, opt, grid); err != nil {
-			b.Fatal(err)
-		}
+	for _, bc := range []struct {
+		name string
+		sys  *cluster.System
+	}{{"N=1120", cluster.System1120()}, {"explicit-32", explicit}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				f := canon.ModelFields("sweep", bc.sys, msg, core.Options{})
+				f.Floats(grid)
+				if _, err := f.Key(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

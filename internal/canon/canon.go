@@ -1,9 +1,10 @@
 // Package canon derives deterministic cache keys from evaluation
 // requests: a canonical JSON form (stable across Go map iteration order,
 // JSON key order and number spelling) is hashed with SHA-256 into an
-// opaque versioned Key. The service layer keys its result cache on
-// Hash(system spec, message spec, resolved model options, lambda grid),
-// so two requests that mean the same evaluation — however they were
+// opaque versioned Key. Hash keys any JSON-encodable value; Fields keys
+// a request written field by field, and ModelFields writes the model's
+// inputs (system by cluster class, message, options) that way. Either
+// way two requests that mean the same evaluation — however they were
 // spelled — coalesce onto one cache entry, while any semantic change to
 // any part yields a different key.
 package canon
@@ -20,16 +21,17 @@ import (
 )
 
 // scheme versions the canonicalization itself: bump it when the
-// canonical form changes so stale persisted keys can never alias.
-const scheme = "v1"
+// canonical form changes so stale persisted keys can never alias. v2
+// keys evaluate and sweep requests by their cluster classes (Fields).
+const scheme = "v2"
 
 // Scheme is the exported canonicalization-scheme version; the service's
 // /v1/version endpoint reports it so operators can tell whether two
 // replicas' cache keys are compatible.
 const Scheme = scheme
 
-// Key is a canonical cache key: "v1:" + hex SHA-256 of the canonical
-// encoding. The zero value is invalid.
+// Key is a canonical cache key: the scheme, ":", and the hex SHA-256 of
+// the canonical encoding. The zero value is invalid.
 type Key string
 
 // Valid reports whether k has the current scheme prefix and digest length.

@@ -155,12 +155,55 @@ func TestKeyValid(t *testing.T) {
 	if !k.Valid() {
 		t.Errorf("fresh key %q not Valid", k)
 	}
-	if !strings.HasPrefix(string(k), "v1:") {
+	if !strings.HasPrefix(string(k), Scheme+":") {
 		t.Errorf("key %q missing scheme prefix", k)
 	}
-	for _, bad := range []Key{"", "v1:", Key("v0:" + strings.Repeat("0", 64)), Key("v1:" + strings.Repeat("0", 63))} {
+	for _, bad := range []Key{"", Scheme + ":", Key("v0:" + strings.Repeat("0", 64)), Key(Scheme + ":" + strings.Repeat("0", 63))} {
 		if bad.Valid() {
 			t.Errorf("key %q unexpectedly Valid", bad)
+		}
+	}
+}
+
+// TestFieldsKey: Fields keys carry the scheme, separate kinds from each
+// other and from Hash keys, keep list boundaries, key floats by their
+// bits, and refuse non-finite numbers.
+func TestFieldsKey(t *testing.T) {
+	key := func(kind string, write func(f *Fields)) Key {
+		t.Helper()
+		f := newFields(kind)
+		write(f)
+		k, err := f.Key()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return k
+	}
+	none := func(*Fields) {}
+	if k := key("evaluate", none); !k.Valid() || k == MustHash("evaluate") {
+		t.Errorf("key %q: want a valid key unlike Hash's for the same kind", k)
+	}
+	distinct := map[Key]string{}
+	for name, k := range map[string]Key{
+		"kind a":    key("a", none),
+		"kind b":    key("b", none),
+		"[1,2],[]":  key("a", func(f *Fields) { f.Floats([]float64{1, 2}); f.Floats(nil) }),
+		"[1],[2]":   key("a", func(f *Fields) { f.Floats([]float64{1}); f.Floats([]float64{2}) }),
+		"+0":        key("a", func(f *Fields) { f.Float(0) }),
+		"-0":        key("a", func(f *Fields) { f.Float(math.Copysign(0, -1)) }),
+		"bool true": key("a", func(f *Fields) { f.Bool(true) }),
+	} {
+		if other, dup := distinct[k]; dup {
+			t.Errorf("%s and %s share key %s", name, other, k)
+		}
+		distinct[k] = name
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		f := newFields("a")
+		f.Float(bad)
+		f.Float(1)
+		if _, err := f.Key(); err == nil {
+			t.Errorf("Float(%v): Key succeeded", bad)
 		}
 	}
 }

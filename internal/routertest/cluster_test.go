@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -130,18 +131,29 @@ func waitAllHealthy(t *testing.T, c *Cluster, want int) {
 	}
 }
 
-// TestRoutedDeterminism is the tentpole property: the same specs routed
-// through K=1 and K=3 clusters produce byte-identical (key, result)
-// pairs, and the K=3 answers stay identical while one replica is killed
-// and after it restarts. Cached flags are deliberately not compared —
-// the kill flips them, the results must not change.
+// TestRoutedDeterminism is the tentpole property: the same specs
+// answered by an unfronted server and routed through K=1 and K=3
+// clusters produce byte-identical (key, result) pairs — replicas derive
+// their own keys, so routing cannot change one — and the K=3 answers
+// stay identical while one replica is killed and after it restarts.
+// Cached flags are deliberately not compared — the kill flips them, the
+// results must not change.
 func TestRoutedDeterminism(t *testing.T) {
+	direct := httptest.NewServer(service.New(service.Options{}).Handler())
+	defer direct.Close()
+	ref := runSuite(t, direct.URL)
+
 	c1, err := Start(Config{Replicas: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c1.Close()
-	ref := runSuite(t, c1.BaseURL())
+	for name, got := range runSuite(t, c1.BaseURL()) {
+		if want := ref[name]; got != want {
+			t.Errorf("case %s: K=1 answered (key %s, result %s), direct (key %s, result %s)",
+				name, got[0], got[1], want[0], want[1])
+		}
+	}
 
 	c3, err := Start(Config{
 		Replicas:      3,
@@ -163,10 +175,10 @@ func TestRoutedDeterminism(t *testing.T) {
 				t.Fatalf("%s: case %s missing", phase, name)
 			}
 			if g[0] != want[0] {
-				t.Errorf("%s: case %s key = %s, want %s (K=1)", phase, name, g[0], want[0])
+				t.Errorf("%s: case %s key = %s, want %s (direct)", phase, name, g[0], want[0])
 			}
 			if g[1] != want[1] {
-				t.Errorf("%s: case %s result differs from K=1 run", phase, name)
+				t.Errorf("%s: case %s result differs from the direct run", phase, name)
 			}
 		}
 	}

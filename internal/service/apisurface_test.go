@@ -149,61 +149,52 @@ func TestRequestIDPropagation(t *testing.T) {
 	}
 }
 
-// TestTrustedRouterKey: with TrustRouterKeys on, a valid X-Ccnet-Key
-// becomes the cache key verbatim (the replica skips canonicalization);
-// with it off — the default — the header is ignored.
-func TestTrustedRouterKey(t *testing.T) {
-	forced := canon.MustHash("router", "some-canonical-body")
-
-	trusted := New(Options{TrustRouterKeys: true})
-	req := httptest.NewRequest(http.MethodPost, "/v1/evaluate", strings.NewReader(smallEvaluate))
-	req.Header.Set(RoutedKeyHeader, string(forced))
-	rec := httptest.NewRecorder()
-	trusted.Handler().ServeHTTP(rec, req)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
-	}
-	var env Envelope
-	if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil {
-		t.Fatal(err)
-	}
-	if env.Key != string(forced) {
-		t.Fatalf("key %q, want the forwarded %q", env.Key, forced)
-	}
-	// The same forwarded key answers from the cache.
-	req = httptest.NewRequest(http.MethodPost, "/v1/evaluate", strings.NewReader(smallEvaluate))
-	req.Header.Set(RoutedKeyHeader, string(forced))
-	rec = httptest.NewRecorder()
-	trusted.Handler().ServeHTTP(rec, req)
-	if rec.Header().Get("X-Cache") != classHit {
-		t.Fatalf("forwarded key did not hit the cache: X-Cache=%q", rec.Header().Get("X-Cache"))
+// TestForgedKeyHeader: the cache key is always derived from the spec.
+// A direct request carrying another spec's valid key in X-Ccnet-Key —
+// the header ccrouter once forwarded for replicas to adopt — gets its
+// own key and result, and neither spec is answered from the other's
+// cache entry.
+func TestForgedKeyHeader(t *testing.T) {
+	other := strings.Replace(smallEvaluate, "1e-4", "2e-4", 1)
+	post := func(h http.Handler, body, forged string) (Envelope, string) {
+		t.Helper()
+		req := httptest.NewRequest(http.MethodPost, "/v1/evaluate", strings.NewReader(body))
+		if forged != "" {
+			req.Header.Set("X-Ccnet-Key", forged)
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
+		}
+		var env Envelope
+		if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil {
+			t.Fatal(err)
+		}
+		return env, rec.Header().Get("X-Cache")
 	}
 
-	// An invalid key (wrong scheme/length) is ignored even when trusted.
-	req = httptest.NewRequest(http.MethodPost, "/v1/evaluate", strings.NewReader(smallEvaluate))
-	req.Header.Set(RoutedKeyHeader, "v1:short")
-	rec = httptest.NewRecorder()
-	trusted.Handler().ServeHTTP(rec, req)
-	var env2 Envelope
-	if err := json.Unmarshal(rec.Body.Bytes(), &env2); err != nil {
-		t.Fatal(err)
-	}
-	if env2.Key == "v1:short" {
-		t.Fatal("malformed forwarded key was trusted")
+	ref := New(Options{}).Handler()
+	want, _ := post(ref, smallEvaluate, "")
+	wantOther, _ := post(ref, other, "")
+	if !canon.Key(wantOther.Key).Valid() || wantOther.Key == want.Key {
+		t.Fatalf("reference keys %q and %q", want.Key, wantOther.Key)
 	}
 
-	// Untrusted replica: header ignored, native key derived.
-	plain := New(Options{})
-	req = httptest.NewRequest(http.MethodPost, "/v1/evaluate", strings.NewReader(smallEvaluate))
-	req.Header.Set(RoutedKeyHeader, string(forced))
-	rec = httptest.NewRecorder()
-	plain.Handler().ServeHTTP(rec, req)
-	var env3 Envelope
-	if err := json.Unmarshal(rec.Body.Bytes(), &env3); err != nil {
-		t.Fatal(err)
+	h := New(Options{}).Handler()
+	post(h, other, "")
+	got, class := post(h, smallEvaluate, wantOther.Key)
+	if got.Key != want.Key || string(got.Result) != string(want.Result) {
+		t.Fatalf("forged request answered key %q result %s, want key %q result %s",
+			got.Key, got.Result, want.Key, want.Result)
 	}
-	if env3.Key == string(forced) {
-		t.Fatal("untrusted replica honored the router key header")
+	if class != classMiss {
+		t.Fatalf("forged request X-Cache=%q, want %q: it aliased the other spec's entry", class, classMiss)
+	}
+	got, class = post(h, other, want.Key)
+	if got.Key != wantOther.Key || string(got.Result) != string(wantOther.Result) || class != classHit {
+		t.Fatalf("other spec with forged header: key %q X-Cache %q result %s, want its own cached entry",
+			got.Key, class, got.Result)
 	}
 }
 
@@ -289,7 +280,7 @@ func TestStreamErrorFrameIsAPIError(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var buf strings.Builder
-	if _, err := srv.runOptimize(WithRequestID(ctx, "stream-err-1"), spec, &buf, ""); err == nil {
+	if _, err := srv.RunOptimize(WithRequestID(ctx, "stream-err-1"), spec, &buf); err == nil {
 		t.Fatal("cancelled search reported no error")
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")

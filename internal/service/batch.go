@@ -144,19 +144,19 @@ func (s *Server) execBatchItem(ctx context.Context, index int, it batch.Item) ba
 		if derr := decodeSpec(it.Spec, &req); derr != nil {
 			return fail(badRequest(fmt.Errorf("item %d: %w", index, derr)))
 		}
-		payload, key, class, err = s.evaluate(ctx, &req, "")
+		payload, key, class, err = s.evaluate(ctx, &req)
 	case "sweep":
 		var req SweepRequest
 		if derr := decodeSpec(it.Spec, &req); derr != nil {
 			return fail(badRequest(fmt.Errorf("item %d: %w", index, derr)))
 		}
-		payload, key, class, err = s.sweep(ctx, &req, "")
+		payload, key, class, err = s.sweep(ctx, &req)
 	case "campaign":
 		spec, perr := scenario.Parse(bytes.NewReader(it.Spec), fmt.Sprintf("item %d", index))
 		if perr != nil {
 			return fail(badRequest(perr))
 		}
-		payload, key, class, err = s.campaign(ctx, spec, "")
+		payload, key, class, err = s.campaign(ctx, spec)
 	case "performability":
 		spec, perr := scenario.Parse(bytes.NewReader(it.Spec), fmt.Sprintf("item %d", index))
 		if perr != nil {
@@ -165,7 +165,7 @@ func (s *Server) execBatchItem(ctx context.Context, index int, it batch.Item) ba
 		if spec.Performability == nil {
 			return fail(badRequest(fmt.Errorf("item %d: performability: section required", index)))
 		}
-		payload, key, class, err = s.performability(ctx, spec, "")
+		payload, key, class, err = s.performability(ctx, spec)
 	case "fleetsim":
 		spec, perr := scenario.Parse(bytes.NewReader(it.Spec), fmt.Sprintf("item %d", index))
 		if perr != nil {
@@ -174,7 +174,7 @@ func (s *Server) execBatchItem(ctx context.Context, index int, it batch.Item) ba
 		if spec.FleetSim == nil {
 			return fail(badRequest(fmt.Errorf("item %d: fleetsim: section required", index)))
 		}
-		payload, key, class, err = s.fleetsimItem(ctx, spec, "")
+		payload, key, class, err = s.fleetsimItem(ctx, spec)
 	default:
 		return fail(badRequest(fmt.Errorf("item %d: kind: unknown kind %q (valid: evaluate, sweep, campaign, performability, fleetsim)", index, it.Kind)))
 	}

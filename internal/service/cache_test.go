@@ -49,7 +49,7 @@ func TestCacheLRUOrderFollowsGets(t *testing.T) {
 
 func TestCacheEvictsByBytes(t *testing.T) {
 	// Each entry costs len(key)+len(val)+entryOverhead; keys are 67 bytes
-	// ("v1:"+64 hex). Budget for exactly two entries of 100-byte values.
+	// (scheme, ":", 64 hex). Budget for exactly two entries of 100-byte values.
 	perEntry := int64(67 + 100 + entryOverhead)
 	c := NewCache(0, 2*perEntry, 0)
 	val := make([]byte, 100)

@@ -26,16 +26,13 @@ func fleetsimKey(spec *scenario.Spec) (canon.Key, error) {
 
 // fleetsimItem computes one fleet simulation through the cache without
 // streaming epochs; the batch executor uses it.
-func (s *Server) fleetsimItem(ctx context.Context, spec *scenario.Spec, forced canon.Key) (payload []byte, key canon.Key, class string, err error) {
+func (s *Server) fleetsimItem(ctx context.Context, spec *scenario.Spec) (payload []byte, key canon.Key, class string, err error) {
 	study, err := spec.FleetStudy()
 	if err != nil {
 		return nil, "", "", badRequest(err)
 	}
-	key = forced
-	if key == "" {
-		if key, err = fleetsimKey(spec); err != nil {
-			return nil, "", "", err
-		}
+	if key, err = fleetsimKey(spec); err != nil {
+		return nil, "", "", err
 	}
 	payload, class, err = s.do(ctx, key, func() ([]byte, error) {
 		eng := &fleetsim.Engine{Workers: s.workers()}
@@ -64,29 +61,24 @@ func (s *Server) RunFleetSim(ctx context.Context, spec *scenario.Spec, w io.Writ
 		s.failures.Add(1)
 		return nil, badRequest(err)
 	}
-	return s.runFleetSim(ctx, spec, study, w, "")
+	return s.runFleetSim(ctx, spec, study, w)
 }
 
 // runFleetSim is RunFleetSim with the study already built — the HTTP
 // handler assembles it once for its pre-stream validation and hands it
-// straight in, along with the router-forwarded cache key when the
-// replica trusts its router tier.
-func (s *Server) runFleetSim(ctx context.Context, spec *scenario.Spec, study *fleetsim.Study, w io.Writer, forced canon.Key) (*fleetsim.Report, error) {
+// straight in.
+func (s *Server) runFleetSim(ctx context.Context, spec *scenario.Spec, study *fleetsim.Study, w io.Writer) (*fleetsim.Report, error) {
 	s.fleetsims.Add(1)
 	st, done := s.newStream(ctx, "fleetsim", w)
 	defer done()
 
 	tr := reqtrace.FromContext(ctx)
-	key := forced
-	if key == "" {
-		sp := tr.StartSpan("canon")
-		var err error
-		key, err = fleetsimKey(spec)
-		sp.EndErr(err)
-		if err != nil {
-			s.failures.Add(1)
-			return nil, err
-		}
+	sp := tr.StartSpan("canon")
+	key, err := fleetsimKey(spec)
+	sp.EndErr(err)
+	if err != nil {
+		s.failures.Add(1)
+		return nil, err
 	}
 	cs := tr.StartSpan("cache")
 	if payload, ok := s.cache.Get(key); ok {
@@ -172,5 +164,5 @@ func (s *Server) handleFleetSim(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
-	_, _ = s.runFleetSim(r.Context(), spec, study, w, routedKeyFrom(r.Context()))
+	_, _ = s.runFleetSim(r.Context(), spec, study, w)
 }

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"time"
 
-	"github.com/ccnet/ccnet/internal/canon"
 	"github.com/ccnet/ccnet/internal/metrics"
 	"github.com/ccnet/ccnet/internal/reqtrace"
 	"github.com/ccnet/ccnet/internal/version"
@@ -237,10 +236,10 @@ func setHitClass(w any, class string) {
 
 // instrument wraps the route table: request-ID generation/propagation
 // (X-Request-Id accepted or minted, echoed on the response, attached to
-// the context for error envelopes), trusted router-key extraction, the
-// X-Shard header when the replica knows its shard, an in-flight gauge
-// around the handler and one histogram observation per request, labeled
-// by endpoint, status and hit class. The hit class comes from the
+// the context for error envelopes), the X-Shard header when the
+// replica knows its shard, an in-flight gauge around the handler and
+// one histogram observation per request, labeled by endpoint, status
+// and hit class. The hit class comes from the
 // streaming endpoints' setHitClass or the JSON endpoints' X-Cache
 // header; endpoints without a cache record "none".
 //
@@ -260,11 +259,6 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 			w.Header().Set(ShardHeader, s.opt.ShardID)
 		}
 		ctx := WithRequestID(r.Context(), id)
-		if s.opt.TrustRouterKeys {
-			if k := canon.Key(r.Header.Get(RoutedKeyHeader)); k.Valid() {
-				ctx = withRoutedKey(ctx, k)
-			}
-		}
 		var tr *reqtrace.Trace
 		if r.Method == http.MethodPost {
 			ctx, tr = s.opt.Tracer.StartRequest(ctx, r.Method+" "+r.URL.Path,

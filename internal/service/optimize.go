@@ -32,28 +32,17 @@ func optimizeKey(spec *optimize.SearchSpec) (canon.Key, error) {
 // when this call did not run the search itself. `ccscen optimize
 // -ndjson` and POST /v1/optimize share this path.
 func (s *Server) RunOptimize(ctx context.Context, spec *optimize.SearchSpec, w io.Writer) (*optimize.Report, error) {
-	return s.runOptimize(ctx, spec, w, "")
-}
-
-// runOptimize is RunOptimize with an optional pre-computed cache key —
-// the HTTP handler passes the router-forwarded key when the replica
-// trusts its router tier, skipping the canonicalization pass here.
-func (s *Server) runOptimize(ctx context.Context, spec *optimize.SearchSpec, w io.Writer, forced canon.Key) (*optimize.Report, error) {
 	s.optimizes.Add(1)
 	st, done := s.newStream(ctx, "optimize", w)
 	defer done()
 
 	tr := reqtrace.FromContext(ctx)
-	key := forced
-	if key == "" {
-		sp := tr.StartSpan("canon")
-		var err error
-		key, err = optimizeKey(spec)
-		sp.EndErr(err)
-		if err != nil {
-			s.failures.Add(1)
-			return nil, err
-		}
+	sp := tr.StartSpan("canon")
+	key, err := optimizeKey(spec)
+	sp.EndErr(err)
+	if err != nil {
+		s.failures.Add(1)
+		return nil, err
 	}
 	cs := tr.StartSpan("cache")
 	if payload, ok := s.cache.Get(key); ok {
@@ -134,5 +123,5 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
-	_, _ = s.runOptimize(r.Context(), spec, w, routedKeyFrom(r.Context()))
+	_, _ = s.RunOptimize(r.Context(), spec, w)
 }

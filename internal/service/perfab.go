@@ -26,16 +26,13 @@ func perfabKey(spec *scenario.Spec) (canon.Key, error) {
 
 // performability computes one performability analysis through the cache
 // without streaming progress; the batch executor uses it.
-func (s *Server) performability(ctx context.Context, spec *scenario.Spec, forced canon.Key) (payload []byte, key canon.Key, class string, err error) {
+func (s *Server) performability(ctx context.Context, spec *scenario.Spec) (payload []byte, key canon.Key, class string, err error) {
 	study, err := spec.PerformabilityStudy()
 	if err != nil {
 		return nil, "", "", badRequest(err)
 	}
-	key = forced
-	if key == "" {
-		if key, err = perfabKey(spec); err != nil {
-			return nil, "", "", err
-		}
+	if key, err = perfabKey(spec); err != nil {
+		return nil, "", "", err
 	}
 	payload, class, err = s.do(ctx, key, func() ([]byte, error) {
 		eng := &perfab.Engine{Workers: s.workers()}
@@ -64,29 +61,24 @@ func (s *Server) RunPerformability(ctx context.Context, spec *scenario.Spec, w i
 		s.failures.Add(1)
 		return nil, badRequest(err)
 	}
-	return s.runPerformability(ctx, spec, study, w, "")
+	return s.runPerformability(ctx, spec, study, w)
 }
 
 // runPerformability is RunPerformability with the study already built —
 // the HTTP handler assembles it once for its pre-stream validation and
-// hands it straight in, along with the router-forwarded cache key when
-// the replica trusts its router tier.
-func (s *Server) runPerformability(ctx context.Context, spec *scenario.Spec, study *perfab.Study, w io.Writer, forced canon.Key) (*perfab.Report, error) {
+// hands it straight in.
+func (s *Server) runPerformability(ctx context.Context, spec *scenario.Spec, study *perfab.Study, w io.Writer) (*perfab.Report, error) {
 	s.perfabs.Add(1)
 	st, done := s.newStream(ctx, "performability", w)
 	defer done()
 
 	tr := reqtrace.FromContext(ctx)
-	key := forced
-	if key == "" {
-		sp := tr.StartSpan("canon")
-		var err error
-		key, err = perfabKey(spec)
-		sp.EndErr(err)
-		if err != nil {
-			s.failures.Add(1)
-			return nil, err
-		}
+	sp := tr.StartSpan("canon")
+	key, err := perfabKey(spec)
+	sp.EndErr(err)
+	if err != nil {
+		s.failures.Add(1)
+		return nil, err
 	}
 	cs := tr.StartSpan("cache")
 	if payload, ok := s.cache.Get(key); ok {
@@ -171,5 +163,5 @@ func (s *Server) handlePerformability(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
-	_, _ = s.runPerformability(r.Context(), spec, study, w, routedKeyFrom(r.Context()))
+	_, _ = s.runPerformability(r.Context(), spec, study, w)
 }

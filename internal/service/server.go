@@ -41,10 +41,6 @@ type Options struct {
 	// echoed in /v1/healthz, /v1/version and the X-Shard response
 	// header so a routed answer is attributable to its shard.
 	ShardID string
-	// TrustRouterKeys makes the server honor the X-Ccnet-Key header as
-	// the canonical cache key, skipping its own canonicalization pass.
-	// Enable only behind a trusted router tier (see RoutedKeyHeader).
-	TrustRouterKeys bool
 	// Log, when set, receives one structured line per failed request
 	// (status, code, request and trace IDs). ccserved builds it with
 	// reqtrace.NewLogger.
@@ -369,15 +365,14 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, r, http.StatusBadRequest, err)
 		return
 	}
-	payload, key, class, err := s.evaluate(r.Context(), &req, routedKeyFrom(r.Context()))
+	payload, key, class, err := s.evaluate(r.Context(), &req)
 	s.finish(w, r, key, payload, class, err)
 }
 
 // evaluate validates and computes one evaluate request through the
 // cache; the HTTP handler and the batch executor share it. Errors caused
-// by the request are badRequest-tagged. A non-empty forced key (the
-// router's precomputed canonical key) replaces the local hash pass.
-func (s *Server) evaluate(ctx context.Context, req *EvaluateRequest, forced canon.Key) (payload []byte, key canon.Key, class string, err error) {
+// by the request are badRequest-tagged.
+func (s *Server) evaluate(ctx context.Context, req *EvaluateRequest) (payload []byte, key canon.Key, class string, err error) {
 	var errs []error
 	if err := req.System.Validate(); err != nil {
 		errs = append(errs, err)
@@ -399,13 +394,13 @@ func (s *Server) evaluate(ctx context.Context, req *EvaluateRequest, forced cano
 
 	msg := netchar.MessageSpec{Flits: req.Message.Flits, FlitBytes: req.Message.FlitBytes}
 	opt := req.Model.Options(req.StoreAndForward)
-	if key = forced; key == "" {
-		sp := reqtrace.FromContext(ctx).StartSpan("canon")
-		key, err = canon.Hash("evaluate", hashableSystem(sys), msg, opt, req.Lambda)
-		sp.EndErr(err)
-		if err != nil {
-			return nil, "", "", err
-		}
+	sp := reqtrace.FromContext(ctx).StartSpan("canon")
+	f := canon.ModelFields("evaluate", sys, msg, opt)
+	f.Float(req.Lambda)
+	key, err = f.Key()
+	sp.EndErr(err)
+	if err != nil {
+		return nil, "", "", err
 	}
 
 	payload, class, err = s.do(ctx, key, func() ([]byte, error) {
@@ -426,14 +421,13 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, r, http.StatusBadRequest, err)
 		return
 	}
-	payload, key, class, err := s.sweep(r.Context(), &req, routedKeyFrom(r.Context()))
+	payload, key, class, err := s.sweep(r.Context(), &req)
 	s.finish(w, r, key, payload, class, err)
 }
 
 // sweep validates and computes one sweep request through the cache; the
-// HTTP handler and the batch executor share it. A non-empty forced key
-// (the router's precomputed canonical key) replaces the local hash pass.
-func (s *Server) sweep(ctx context.Context, req *SweepRequest, forced canon.Key) (payload []byte, key canon.Key, class string, err error) {
+// HTTP handler and the batch executor share it.
+func (s *Server) sweep(ctx context.Context, req *SweepRequest) (payload []byte, key canon.Key, class string, err error) {
 	var errs []error
 	if err := req.System.Validate(); err != nil {
 		errs = append(errs, err)
@@ -480,21 +474,19 @@ func (s *Server) sweep(ctx context.Context, req *SweepRequest, forced canon.Key)
 			return nil, "", "", badRequest(err)
 		}
 	}
-	if key = forced; key == "" {
-		sp := reqtrace.FromContext(ctx).StartSpan("canon")
-		if req.Lambda.Auto {
-			la := req.Lambda
-			if la.AutoFraction == 0 {
-				la.AutoFraction = 0.95 // the documented default; hash it resolved
-			}
-			key, err = canon.Hash("sweep-auto", hashableSystem(sys), msg, opt, la)
-		} else {
-			key, err = canon.Hash("sweep", hashableSystem(sys), msg, opt, grid)
-		}
-		sp.EndErr(err)
-		if err != nil {
-			return nil, "", "", err
-		}
+	sp := reqtrace.FromContext(ctx).StartSpan("canon")
+	var f *canon.Fields
+	if req.Lambda.Auto {
+		f = canon.ModelFields("sweep-auto", sys, msg, opt)
+		autoGridFields(f, req.Lambda)
+	} else {
+		f = canon.ModelFields("sweep", sys, msg, opt)
+		f.Floats(grid)
+	}
+	key, err = f.Key()
+	sp.EndErr(err)
+	if err != nil {
+		return nil, "", "", err
 	}
 
 	payload, class, err = s.do(ctx, key, func() ([]byte, error) {
@@ -541,27 +533,24 @@ func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, r, http.StatusBadRequest, badRequest(err))
 		return
 	}
-	payload, key, class, err := s.campaign(r.Context(), spec, routedKeyFrom(r.Context()))
+	payload, key, class, err := s.campaign(r.Context(), spec)
 	s.finish(w, r, key, payload, class, err)
 }
 
 // campaign computes one parsed scenario through the cache; the HTTP
-// handler and the batch executor share it. A non-empty forced key (the
-// router's precomputed canonical key) replaces the local hash pass.
-func (s *Server) campaign(ctx context.Context, spec *scenario.Spec, forced canon.Key) (payload []byte, key canon.Key, class string, err error) {
-	if key = forced; key == "" {
-		// Normalize the one default the runner applies itself, so "seed
-		// omitted" and "seed: 1" share a cache entry.
-		norm := *spec
-		if norm.Seed == 0 {
-			norm.Seed = 1
-		}
-		sp := reqtrace.FromContext(ctx).StartSpan("canon")
-		key, err = canon.Hash("campaign", norm)
-		sp.EndErr(err)
-		if err != nil {
-			return nil, "", "", err
-		}
+// handler and the batch executor share it.
+func (s *Server) campaign(ctx context.Context, spec *scenario.Spec) (payload []byte, key canon.Key, class string, err error) {
+	// Normalize the one default the runner applies itself, so "seed
+	// omitted" and "seed: 1" share a cache entry.
+	norm := *spec
+	if norm.Seed == 0 {
+		norm.Seed = 1
+	}
+	sp := reqtrace.FromContext(ctx).StartSpan("canon")
+	key, err = canon.Hash("campaign", norm)
+	sp.EndErr(err)
+	if err != nil {
+		return nil, "", "", err
 	}
 
 	payload, class, err = s.do(ctx, key, func() ([]byte, error) {
@@ -658,7 +647,11 @@ func (s *Server) finish(w http.ResponseWriter, r *http.Request, key canon.Key, p
 		return
 	}
 	w.Header().Set("X-Cache", class)
-	s.writeJSON(w, http.StatusOK, Envelope{Cached: cachedClass(class), Key: string(key), Result: payload})
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	if err := writeResult(w, "", cachedClass(class), key, payload); err != nil {
+		s.writeErrors.Add(1)
+	}
 }
 
 // fail answers a request with the typed APIError envelope — the only
@@ -735,13 +728,21 @@ func (s *Server) writeJSON(w http.ResponseWriter, code int, v any) {
 	}
 }
 
-// hashableSystem strips the label from a built system so cache keys
-// depend only on structure (a preset and its explicit spelling that
-// build the same networks still differ in spec, but never in name).
-func hashableSystem(sys *cluster.System) cluster.System {
-	c := *sys
-	c.Name = ""
-	return c
+// autoGridFields appends an auto grid's spec with its default fraction
+// resolved. The auto grid is a pure function of the system, message,
+// options and this spec, and materializing it needs the model's
+// saturation bisection, so the spec stands in for the rates. The
+// zero-omitted JSON fields key -0 as 0, as their JSON spelling did.
+func autoGridFields(f *canon.Fields, la scenario.LambdaSpec) {
+	if la.AutoFraction == 0 {
+		la.AutoFraction = 0.95 // the documented default
+	}
+	f.Floats(la.Values)
+	f.Float(la.Min + 0) // -0 + 0 is +0
+	f.Float(la.Max + 0)
+	f.Int(la.Points)
+	f.Bool(la.Auto)
+	f.Float(la.AutoFraction)
 }
 
 func systemInfo(sys *cluster.System) SystemInfo {

@@ -8,6 +8,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"github.com/ccnet/ccnet/internal/canon"
 )
 
 func newTestServer(t *testing.T) (*Server, *httptest.Server) {
@@ -92,7 +94,7 @@ func TestEvaluateComputesAndCaches(t *testing.T) {
 	if env.Cached {
 		t.Error("first request reported cached")
 	}
-	if !strings.HasPrefix(env.Key, "v1:") {
+	if !canon.Key(env.Key).Valid() {
 		t.Errorf("key %q missing canon scheme", env.Key)
 	}
 	var res EvaluateResult

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"strconv"
 
 	"github.com/ccnet/ccnet/internal/canon"
 	"github.com/ccnet/ccnet/internal/fleetsim"
@@ -87,6 +88,7 @@ type BatchItemLine struct {
 // and the request ID for error frames.
 type stream struct {
 	srv     *Server
+	w       io.Writer
 	enc     *json.Encoder
 	flusher http.Flusher
 	lines   *metrics.Counter
@@ -101,6 +103,7 @@ func (s *Server) newStream(ctx context.Context, endpoint string, w io.Writer) (*
 	flusher, _ := w.(http.Flusher)
 	return &stream{
 		srv:     s,
+		w:       w,
 		enc:     json.NewEncoder(w),
 		flusher: flusher,
 		lines:   s.m.streamLines.With(endpoint),
@@ -111,8 +114,16 @@ func (s *Server) newStream(ctx context.Context, endpoint string, w io.Writer) (*
 // emit writes one frame line, counting and flushing it. An encode
 // failure means the client hung up: it is counted in writeErrors and
 // returned so the caller can stop streaming.
-func (st *stream) emit(line any) error {
-	if err := st.enc.Encode(line); err != nil {
+func (st *stream) emit(line any) error { return st.sent(st.enc.Encode(line)) }
+
+// emitResult writes the terminal success frame.
+func (st *stream) emitResult(cached bool, key canon.Key, payload []byte) error {
+	return st.sent(writeResult(st.w, FrameResult, cached, key, payload))
+}
+
+// sent accounts for one frame whose write returned err.
+func (st *stream) sent(err error) error {
+	if err != nil {
 		st.srv.writeErrors.Add(1)
 		return err
 	}
@@ -123,13 +134,37 @@ func (st *stream) emit(line any) error {
 	return nil
 }
 
-// emitResult writes the terminal success frame.
-func (st *stream) emitResult(cached bool, key canon.Key, payload []byte) error {
-	return st.emit(ResultLine{Kind: FrameResult, Cached: cached, Key: string(key), Result: payload})
-}
-
 // emitError writes the terminal in-band error frame. Encode errors here
 // mean the client is gone — nothing left to tell it.
 func (st *stream) emitError(err error) {
 	_ = st.emit(ErrorLine{Kind: FrameError, Error: apiErrorFor(statusFor(err), st.reqID, err)})
+}
+
+// writeResult writes a result document in one Write, as the bytes
+// json.Encoder writes for an Envelope (frame "") or a ResultLine (frame
+// FrameResult). payload must be json.Marshal output, as every result
+// payload is: compact, with <, >, &, U+2028 and U+2029 escaped. The
+// encoder would re-scan it to compact and escape it again, which on a
+// cache hit costs more than the rest of the response; here it is
+// copied as is.
+func writeResult(w io.Writer, frame string, cached bool, key canon.Key, payload []byte) error {
+	b := make([]byte, 0, len(payload)+len(key)+48)
+	b = append(b, '{')
+	if frame != "" {
+		b = append(b, `"kind":"`...)
+		b = append(b, frame...)
+		b = append(b, `",`...)
+	}
+	b = append(b, `"cached":`...)
+	b = strconv.AppendBool(b, cached)
+	if key != "" || frame == "" { // ResultLine omits an empty key
+		b = append(b, `,"key":"`...)
+		b = append(b, key...)
+		b = append(b, '"')
+	}
+	b = append(b, `,"result":`...)
+	b = append(b, payload...)
+	b = append(b, "}\n"...)
+	_, err := w.Write(b)
+	return err
 }
