@@ -1,5 +1,5 @@
 // Benchmarks regenerating every table and figure of the paper's
-// evaluation section (DESIGN.md §7 maps each to its experiment), plus
+// evaluation section (experiments.All maps each to its experiment), plus
 // microbenchmarks of the load-bearing components. Figure benchmarks run
 // reduced message counts so `go test -bench=.` stays in tens of seconds;
 // use cmd/ccexp for the full paper-scale runs recorded in EXPERIMENTS.md.
@@ -107,7 +107,7 @@ func BenchmarkFig6(b *testing.B) { benchFigure(b, experiments.Fig6) }
 func BenchmarkFig7(b *testing.B) { benchFigure(b, experiments.Fig7) }
 
 // BenchmarkAblationVariants compares the documented model variants
-// (DESIGN.md §6) over the Fig 3 grid.
+// (see experiments.Ablation) over the Fig 3 grid.
 func BenchmarkAblationVariants(b *testing.B) { benchFigure(b, experiments.Ablation) }
 
 // BenchmarkNonUniform exercises the paper's future-work extension:

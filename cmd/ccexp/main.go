@@ -1,6 +1,7 @@
-// Command ccexp regenerates the paper's tables and figures (see DESIGN.md
-// §7 for the experiment index) and writes CSV and/or human-readable
-// output.
+// Command ccexp regenerates the paper's tables and figures (the
+// experiment ids are the keys of experiments.All; the README's "Paper
+// experiments" section shows the common runs) and writes CSV and/or
+// human-readable output.
 //
 // Examples:
 //

@@ -13,11 +13,12 @@
 //	                    back incrementally as NDJSON (one result line per
 //	                    completed item, in item order, plus a summary line);
 //	                    a client that disconnects stops the batch — items
-//	                    not yet started never run (in-flight items finish)
+//	                    not yet started never run, running items stop
 //	POST /v1/optimize   a design-space search spec, streamed back as NDJSON
 //	                    progress lines plus a terminal Pareto-frontier line;
-//	                    repeated specs answer from the result cache, and a
-//	                    disconnecting client cancels the search
+//	                    repeated specs answer from the result cache, and the
+//	                    search is cancelled once every client waiting on it
+//	                    has disconnected
 //	GET  /v1/healthz    liveness + version + shard identity
 //	GET  /v1/version    build, API and cache-schema versions
 //	GET  /v1/stats      request and cache counters

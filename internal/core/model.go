@@ -8,8 +8,7 @@
 // combined into a system-wide weighted mean (Eq 3).
 //
 // The scanned source of the paper leaves a few arrival-rate symbols
-// ambiguous, so the model implements two variants (see Options.Variant and
-// DESIGN.md §6):
+// ambiguous, so the model implements two variants (see Options.Variant):
 //
 //   - Reconstructed (default): per-channel rates aggregate the whole
 //     network's traffic, while each node's source queue sees only that

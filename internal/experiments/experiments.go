@@ -2,7 +2,7 @@
 // evaluation section: the Table 1/2 configurations, the four
 // latency-versus-load validation figures (Figs 3–6, analysis + simulation)
 // and the Fig 7 ICN2-bandwidth capability study, plus the ablation and
-// non-uniform-traffic extension experiments described in DESIGN.md.
+// non-uniform-traffic extension experiments (Ablation, NonUniform).
 package experiments
 
 import (

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -11,9 +10,7 @@ import (
 	"time"
 
 	"github.com/ccnet/ccnet/internal/batch"
-	"github.com/ccnet/ccnet/internal/canon"
 	"github.com/ccnet/ccnet/internal/reqtrace"
-	"github.com/ccnet/ccnet/internal/scenario"
 )
 
 // maxBatchBytes bounds a whole batch request body; individual items are
@@ -38,17 +35,12 @@ type BatchRequest struct {
 // error, so generated pipelines that happen to produce no work degrade
 // gracefully.
 func ParseBatch(r io.Reader) (*BatchRequest, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
 	var req BatchRequest
-	if err := dec.Decode(&req); err != nil {
+	if err := decodeJSON(r, &req); err != nil {
 		if errors.Is(err, io.EOF) {
 			return &BatchRequest{}, nil
 		}
-		return nil, scenario.DecodeError(err)
-	}
-	if dec.More() {
-		return nil, errors.New("trailing data after the batch object")
+		return nil, err
 	}
 	if len(req.Items) > batch.MaxItems {
 		return nil, fmt.Errorf("items: %d items exceed the %d-item limit", len(req.Items), batch.MaxItems)
@@ -63,11 +55,11 @@ func ParseBatch(r io.Reader) (*BatchRequest, error) {
 // after every line when w is an http.Flusher. Each item consults the
 // canonical-spec result cache exactly like its single-request endpoint.
 // Cancelling ctx (a streaming client hanging up) stops the batch: items
-// not yet started never run, items already computing finish (the model
-// evaluation itself is not interruptible) and are discarded. The error
-// reports why the stream ended early, while per-item failures are
-// reported inline — as APIError payloads on their progress frames — and
-// do not abort the batch.
+// not yet started never run, and items waiting on a computation stop
+// waiting; the computation itself is cancelled once nobody else waits
+// on it (see flightGroup). The error reports why the stream ended
+// early, while per-item failures are reported inline — as APIError
+// payloads on their progress frames — and do not abort the batch.
 func (s *Server) RunBatch(ctx context.Context, items []batch.Item, w io.Writer) (batch.Summary, error) {
 	s.batches.Add(1)
 	s.batchItems.Add(uint64(len(items)))
@@ -119,85 +111,6 @@ func (s *Server) RunBatch(ctx context.Context, items []batch.Item, w io.Writer) 
 		return sum, err
 	}
 	return sum, st.emitResult(false, "", payload)
-}
-
-// execBatchItem dispatches one item to the kind's shared compute path.
-// Item errors come back in the Outcome; the batch itself never fails on
-// one item.
-func (s *Server) execBatchItem(ctx context.Context, index int, it batch.Item) batch.Outcome {
-	o := batch.Outcome{}
-	fail := func(err error) batch.Outcome {
-		s.failures.Add(1)
-		o.Err = err
-		return o
-	}
-	if len(it.Spec) == 0 {
-		return fail(badRequest(fmt.Errorf("item %d: spec: required", index)))
-	}
-	var payload []byte
-	var key canon.Key
-	var class string
-	var err error
-	switch it.Kind {
-	case "evaluate":
-		var req EvaluateRequest
-		if derr := decodeSpec(it.Spec, &req); derr != nil {
-			return fail(badRequest(fmt.Errorf("item %d: %w", index, derr)))
-		}
-		payload, key, class, err = s.evaluate(ctx, &req)
-	case "sweep":
-		var req SweepRequest
-		if derr := decodeSpec(it.Spec, &req); derr != nil {
-			return fail(badRequest(fmt.Errorf("item %d: %w", index, derr)))
-		}
-		payload, key, class, err = s.sweep(ctx, &req)
-	case "campaign":
-		spec, perr := scenario.Parse(bytes.NewReader(it.Spec), fmt.Sprintf("item %d", index))
-		if perr != nil {
-			return fail(badRequest(perr))
-		}
-		payload, key, class, err = s.campaign(ctx, spec)
-	case "performability":
-		spec, perr := scenario.Parse(bytes.NewReader(it.Spec), fmt.Sprintf("item %d", index))
-		if perr != nil {
-			return fail(badRequest(perr))
-		}
-		if spec.Performability == nil {
-			return fail(badRequest(fmt.Errorf("item %d: performability: section required", index)))
-		}
-		payload, key, class, err = s.performability(ctx, spec)
-	case "fleetsim":
-		spec, perr := scenario.Parse(bytes.NewReader(it.Spec), fmt.Sprintf("item %d", index))
-		if perr != nil {
-			return fail(badRequest(perr))
-		}
-		if spec.FleetSim == nil {
-			return fail(badRequest(fmt.Errorf("item %d: fleetsim: section required", index)))
-		}
-		payload, key, class, err = s.fleetsimItem(ctx, spec)
-	default:
-		return fail(badRequest(fmt.Errorf("item %d: kind: unknown kind %q (valid: evaluate, sweep, campaign, performability, fleetsim)", index, it.Kind)))
-	}
-	if err != nil {
-		return fail(fmt.Errorf("item %d: %w", index, err))
-	}
-	o.Payload = payload
-	o.Key = string(key)
-	o.Cached = cachedClass(class)
-	return o
-}
-
-// decodeSpec strictly decodes one item spec document.
-func decodeSpec(spec json.RawMessage, dst any) error {
-	dec := json.NewDecoder(bytes.NewReader(spec))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
-		return scenario.DecodeError(err)
-	}
-	if dec.More() {
-		return errors.New("trailing data after the spec object")
-	}
-	return nil
 }
 
 // handleBatch serves POST /v1/batch: the request is decoded up front

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -349,5 +350,56 @@ func TestBatchClientDisconnectCancelsWork(t *testing.T) {
 	case <-sawCancel:
 	case <-time.After(10 * time.Second):
 		t.Fatal("server never observed the client disconnect")
+	}
+}
+
+// slowPerfabSpec samples thousands of distinct failure states of the
+// N=1120 system: alone it computes for seconds.
+const slowPerfabSpec = `{"name": "svc-perf-slow", "system": {"preset": "N=1120"},
+	"traffic": {"flits": 16, "flitBytes": [128], "lambda": {"max": 1e-4, "points": 2}},
+	"performability": {
+		"nodes": [
+			{"group": 0, "mttf": 100, "mttr": 100},
+			{"group": 1, "mttf": 100, "mttr": 100},
+			{"group": 2, "mttf": 100, "mttr": 100}
+		],
+		"probe": {"fraction": 0.05},
+		"states": {"maxExact": 1, "samples": 40000}
+	}}`
+
+// TestBatchDisconnectCancelsPerformabilityItem: a client that hangs up
+// while a batch's slow performability item computes gets its handler
+// back at once, and the analysis stops with it — no stream, flight or
+// goroutine outlives the request.
+func TestBatchDisconnectCancelsPerformabilityItem(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	srv := New(Options{Workers: 1})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	body := `{"items": [{"kind": "performability", "spec": ` + slowPerfabSpec + `}]}`
+	req := httptest.NewRequest(http.MethodPost, "/v1/batch", strings.NewReader(body)).WithContext(ctx)
+	served := make(chan struct{})
+	go func() {
+		srv.Handler().ServeHTTP(httptest.NewRecorder(), req)
+		close(served)
+	}()
+	waitFor(t, "the item to start computing", func() bool { return srv.flight.Inflight() == 1 })
+
+	cancel()
+	start := time.Now()
+	select {
+	case <-served:
+	case <-time.After(time.Second):
+		t.Fatal("handler still running 1s after the client hung up")
+	}
+	t.Logf("handler returned %v after the hang-up", time.Since(start))
+	waitFor(t, "the analysis to stop", func() bool {
+		return srv.flight.Inflight() == 0 && runtime.NumGoroutine() <= baseline
+	})
+	if g := srv.m.activeStreams.With("batch").Value(); g != 0 {
+		t.Errorf("active batch streams = %v, want 0", g)
+	}
+	if n := srv.Cache().Len(); n != 0 {
+		t.Errorf("the cancelled analysis was cached (%d entries)", n)
 	}
 }

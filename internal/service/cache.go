@@ -1,10 +1,8 @@
-// Package service exposes the analytical model and the scenario engine
-// over HTTP (see cmd/ccserved): POST /v1/evaluate, /v1/sweep and
-// /v1/campaign compute through a canonical-spec result cache — requests
-// are canonicalized and hashed by internal/canon, identical in-flight
-// requests coalesce onto one computation, and finished results are held
-// in a bytes- and entry-bounded LRU with TTL — while GET /v1/healthz and
-// /v1/stats report liveness and cache effectiveness.
+// Package service exposes the analytical model and its engines over
+// HTTP (see cmd/ccserved). Every compute kind in the endpoint table
+// answers through one path: its canonical key (internal/canon), a
+// bytes- and entry-bounded LRU result cache with TTL, and a singleflight
+// group that coalesces identical in-flight requests onto one computation.
 package service
 
 import (

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"sync"
@@ -174,7 +175,7 @@ func TestSingleflightCoalesces(t *testing.T) {
 		release    = make(chan struct{})
 		wg         sync.WaitGroup
 	)
-	fn := func() ([]byte, error) {
+	fn := func(context.Context) ([]byte, error) {
 		executions.Add(1)
 		close(entered) // signal: computation is in flight
 		<-release
@@ -183,7 +184,7 @@ func TestSingleflightCoalesces(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		if v, err, _ := g.Do("k", fn); err != nil || string(v) != "result" {
+		if v, err, _ := g.Do(context.Background(), "k", fn); err != nil || string(v) != "result" {
 			t.Errorf("executor got %q, %v", v, err)
 		}
 	}()
@@ -192,7 +193,7 @@ func TestSingleflightCoalesces(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			v, err, shared := g.Do("k", fn)
+			v, err, shared := g.Do(context.Background(), "k", fn)
 			if err != nil || string(v) != "result" {
 				t.Errorf("caller got %q, %v", v, err)
 			}
@@ -219,9 +220,9 @@ func TestSingleflightCoalesces(t *testing.T) {
 func TestSingleflightSequentialRunsEachTime(t *testing.T) {
 	var g flightGroup
 	var n atomic.Int64
-	fn := func() ([]byte, error) { n.Add(1); return nil, nil }
-	g.Do("k", fn)
-	g.Do("k", fn)
+	fn := func(context.Context) ([]byte, error) { n.Add(1); return nil, nil }
+	g.Do(context.Background(), "k", fn)
+	g.Do(context.Background(), "k", fn)
 	if got := n.Load(); got != 2 {
 		t.Errorf("sequential calls executed fn %d times, want 2", got)
 	}
@@ -231,12 +232,12 @@ func TestSingleflightSequentialRunsEachTime(t *testing.T) {
 // the flight (as an error) instead of wedging the key forever.
 func TestSingleflightSurvivesPanic(t *testing.T) {
 	var g flightGroup
-	_, err, _ := g.Do("k", func() ([]byte, error) { panic("boom") })
+	_, err, _ := g.Do(context.Background(), "k", func(context.Context) ([]byte, error) { panic("boom") })
 	if err == nil || !strings.Contains(err.Error(), "boom") {
 		t.Fatalf("panicking flight returned err %v, want the panic surfaced", err)
 	}
 	// The key must be free again: a later call runs fn normally.
-	v, err, _ := g.Do("k", func() ([]byte, error) { return []byte("ok"), nil })
+	v, err, _ := g.Do(context.Background(), "k", func(context.Context) ([]byte, error) { return []byte("ok"), nil })
 	if err != nil || string(v) != "ok" {
 		t.Errorf("key wedged after panic: got %q, %v", v, err)
 	}
@@ -253,7 +254,7 @@ func TestSingleflightDistinctKeysDoNotCoalesce(t *testing.T) {
 		wg.Add(1)
 		go func(k string) {
 			defer wg.Done()
-			g.Do(k, func() ([]byte, error) {
+			g.Do(context.Background(), k, func(context.Context) ([]byte, error) {
 				n.Add(1)
 				<-barrier
 				return nil, nil

@@ -1,7 +1,7 @@
 package service
 
 import (
-	"context"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -156,8 +156,6 @@ func randomKeyRequest(rng *rand.Rand, systems [][]scenario.SystemSpec) any {
 // a cache key iff they share an oracle key. Sharing must actually
 // happen across spellings, or the property says little.
 func TestKeyMatchesOracle(t *testing.T) {
-	srv := New(Options{Workers: 1})
-	ctx := context.Background()
 	systems := systemSpellings()
 	rng := rand.New(rand.NewSource(12))
 	toOracle := map[canon.Key]canon.Key{}
@@ -165,15 +163,16 @@ func TestKeyMatchesOracle(t *testing.T) {
 	spellings := map[canon.Key]map[string]bool{}
 	for i := 0; i < 400; i++ {
 		req := randomKeyRequest(rng, systems)
-		var key canon.Key
-		var err error
-		switch r := req.(type) {
-		case *EvaluateRequest:
-			_, key, _, err = srv.evaluate(ctx, r)
-		case *SweepRequest:
-			_, key, _, err = srv.sweep(ctx, r)
-		}
 		body, _ := json.Marshal(req)
+		ep := &endpoints[epEvaluate]
+		if _, ok := req.(*SweepRequest); ok {
+			ep = &endpoints[epSweep]
+		}
+		var key canon.Key
+		j, err := ep.parse(bytes.NewReader(body), "request")
+		if err == nil {
+			key, err = j.key()
+		}
 		if err != nil {
 			t.Fatalf("%T %s: %v", req, body, err)
 		}

@@ -68,20 +68,12 @@ func (s *Server) initMetrics() {
 
 	// Request totals mirror /v1/stats: same atomics, read at scrape.
 	const reqHelp = "Requests accepted per compute endpoint (including invalid ones)."
-	reg.CounterFunc("ccserved_requests_total", reqHelp,
-		func() float64 { return float64(s.evaluates.Load()) }, "endpoint", "evaluate")
-	reg.CounterFunc("ccserved_requests_total", reqHelp,
-		func() float64 { return float64(s.sweeps.Load()) }, "endpoint", "sweep")
-	reg.CounterFunc("ccserved_requests_total", reqHelp,
-		func() float64 { return float64(s.campaigns.Load()) }, "endpoint", "campaign")
+	for i := range endpoints {
+		reg.CounterFunc("ccserved_requests_total", reqHelp,
+			func() float64 { return float64(s.requests[i].Load()) }, "endpoint", endpoints[i].name)
+	}
 	reg.CounterFunc("ccserved_requests_total", reqHelp,
 		func() float64 { return float64(s.batches.Load()) }, "endpoint", "batch")
-	reg.CounterFunc("ccserved_requests_total", reqHelp,
-		func() float64 { return float64(s.optimizes.Load()) }, "endpoint", "optimize")
-	reg.CounterFunc("ccserved_requests_total", reqHelp,
-		func() float64 { return float64(s.perfabs.Load()) }, "endpoint", "performability")
-	reg.CounterFunc("ccserved_requests_total", reqHelp,
-		func() float64 { return float64(s.fleetsims.Load()) }, "endpoint", "fleetsim")
 	reg.CounterFunc("ccserved_batch_items_total", "Batch items accepted.",
 		func() float64 { return float64(s.batchItems.Load()) })
 	reg.CounterFunc("ccserved_computes_total",
@@ -143,9 +135,13 @@ func endpointLabel(path string) string {
 	name := strings.TrimPrefix(path, "/v1/")
 	name = strings.TrimPrefix(name, "/")
 	switch name {
-	case "evaluate", "sweep", "campaign", "batch", "optimize", "performability",
-		"fleetsim", "healthz", "stats", "metrics", "version", "traces":
+	case "batch", "healthz", "stats", "metrics", "version", "traces":
 		return name
+	}
+	for i := range endpoints {
+		if endpoints[i].name == name {
+			return name
+		}
 	}
 	return "other"
 }
@@ -211,27 +207,11 @@ func (w *statusWriter) Flush() {
 	}
 }
 
-func (w *statusWriter) setHitClass(c string) { w.hitClass = c }
-
 func (w *statusWriter) statusCode() int {
 	if w.status == 0 {
 		return http.StatusOK
 	}
 	return w.status
-}
-
-// hitClassSetter lets the streaming endpoints report their hit class to
-// the middleware after the status line is already committed (a cached
-// optimize answer is one NDJSON line, but the 200 went out before the
-// cache was consulted). Non-HTTP writers (ccscen's stdout) simply don't
-// implement it.
-type hitClassSetter interface{ setHitClass(string) }
-
-// setHitClass records class on w when the middleware is watching.
-func setHitClass(w any, class string) {
-	if cs, ok := w.(hitClassSetter); ok {
-		cs.setHitClass(class)
-	}
 }
 
 // instrument wraps the route table: request-ID generation/propagation
@@ -240,7 +220,7 @@ func setHitClass(w any, class string) {
 // replica knows its shard, an in-flight gauge around the handler and
 // one histogram observation per request, labeled by endpoint, status
 // and hit class. The hit class comes from the
-// streaming endpoints' setHitClass or the JSON endpoints' X-Cache
+// streaming endpoints' stream step or the JSON endpoints' X-Cache
 // header; endpoints without a cache record "none".
 //
 // It is also where a request's trace begins and ends: POST requests

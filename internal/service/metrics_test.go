@@ -55,7 +55,7 @@ func scrape(t *testing.T, ts string) map[string]float64 {
 // TestMetricsStatsParity pins the parity-by-construction guarantee:
 // every counter /v1/stats reports must appear in /metrics with the same
 // value, because both read the same atomics and cache mutex. Traffic
-// covers a miss, a hit, and a rejected request before comparing.
+// covers a miss, a hit, and rejected requests before comparing.
 func TestMetricsStatsParity(t *testing.T) {
 	_, ts := newTestServer(t)
 
@@ -63,6 +63,10 @@ func TestMetricsStatsParity(t *testing.T) {
 	doJSON(t, http.MethodPost, ts.URL+"/v1/evaluate", smallEvaluate, nil) // hit
 	doJSON(t, http.MethodPost, ts.URL+"/v1/sweep", smallSweep, nil)       // miss
 	doJSON(t, http.MethodPost, ts.URL+"/v1/evaluate", `{"bad": true}`, nil)
+	// Invalid bodies are counted on every compute endpoint.
+	doJSON(t, http.MethodPost, ts.URL+"/v1/optimize", `{"name": "x"}`, nil)
+	doJSON(t, http.MethodPost, ts.URL+"/v1/performability", `{"bad": true}`, nil)
+	doJSON(t, http.MethodPost, ts.URL+"/v1/fleetsim", `{`, nil)
 
 	// Nothing between these two reads touches a counter: /v1/stats and
 	// /metrics are not compute endpoints and don't consult the cache.
@@ -82,6 +86,7 @@ func TestMetricsStatsParity(t *testing.T) {
 		{`ccserved_requests_total{endpoint="batch"}`, float64(stats.Batches)},
 		{`ccserved_requests_total{endpoint="optimize"}`, float64(stats.Optimizes)},
 		{`ccserved_requests_total{endpoint="performability"}`, float64(stats.Perfabs)},
+		{`ccserved_requests_total{endpoint="fleetsim"}`, float64(stats.FleetSims)},
 		{`ccserved_batch_items_total`, float64(stats.BatchItems)},
 		{`ccserved_computes_total`, float64(stats.Computes)},
 		{`ccserved_coalesced_total`, float64(stats.Coalesced)},
@@ -108,8 +113,12 @@ func TestMetricsStatsParity(t *testing.T) {
 
 	// Sanity on the traffic itself, so the parity above isn't 0 == 0.
 	if stats.Evaluates != 3 || stats.Sweeps != 1 || stats.Computes != 2 ||
-		stats.Cache.Hits != 1 || stats.Failures != 1 {
+		stats.Cache.Hits != 1 || stats.Failures != 4 {
 		t.Errorf("unexpected traffic shape: %+v", stats)
+	}
+	if stats.Optimizes != 1 || stats.Perfabs != 1 || stats.FleetSims != 1 {
+		t.Errorf("invalid study requests not counted: optimize %d, performability %d, fleetsim %d",
+			stats.Optimizes, stats.Perfabs, stats.FleetSims)
 	}
 }
 

@@ -1,12 +1,18 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
+
+	"github.com/ccnet/ccnet/internal/optimize"
 )
 
 // optimizeSpec is a small grid search (96 raw candidates) that finishes
@@ -167,4 +173,170 @@ func TestOptimizeSeedDefaultSharesCacheEntry(t *testing.T) {
 	if len(lines) != 1 || !strings.Contains(lines[0], `"cached":true`) {
 		t.Fatalf("seed:1 did not share the seedless cache entry:\n%s", strings.Join(lines, "\n"))
 	}
+}
+
+// slowOptimizeSpec is a grid of 5200 candidates, evaluated in two
+// waves of up to 4096: the engine reports progress while absorbing the
+// first wave, and checks its context before evaluating the second.
+const slowOptimizeSpec = `{
+	"name": "svc-opt-slow",
+	"space": {
+		"ports": [4, 8],
+		"icn2Scale": [1, 1.25, 1.5, 1.75, 2, 2.25, 2.5, 3],
+		"groups": [
+			{"counts": [0, 2, 4, 8, 16], "treeLevels": [1, 2, 3], "icn1": ["net1", "net2"]},
+			{"counts": [0, 2, 4, 8], "treeLevels": [1, 2], "icn1": ["net1", "net2"]}
+		]
+	},
+	"message": {"flits": 16, "flitBytes": 128},
+	"search": {"method": "grid", "maxCandidates": 100000}
+}`
+
+// stalledWriter is a client that stopped reading: its first write
+// closes entered, and every write blocks until release, then fails.
+// Given to the caller that starts a search, it holds the search inside
+// its first progress frame.
+type stalledWriter struct {
+	entered, release chan struct{}
+	once             sync.Once
+}
+
+func newStalledWriter() *stalledWriter {
+	return &stalledWriter{entered: make(chan struct{}), release: make(chan struct{})}
+}
+
+func (w *stalledWriter) Write([]byte) (int, error) {
+	w.once.Do(func() { close(w.entered) })
+	<-w.release
+	return 0, errors.New("client hung up")
+}
+
+// waiting reports how many callers wait on key's flight.
+func (g *flightGroup) waiting(key string) int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if c := g.m[key]; c != nil {
+		return c.waiters
+	}
+	return 0
+}
+
+// waitFor polls cond until it holds, failing the test after 10 s.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// coalescedSearch is a slow search whose first caller's client stalls
+// inside the first progress frame, with a second caller coalesced onto
+// it. done1 and done2 receive each caller's RunOptimize error.
+type coalescedSearch struct {
+	key              string
+	cancel1, cancel2 context.CancelFunc
+	w1               *stalledWriter
+	out2             strings.Builder
+	done1, done2     chan error
+}
+
+func startCoalescedSearch(t *testing.T, srv *Server) *coalescedSearch {
+	t.Helper()
+	spec := mustParseOptimize(t, slowOptimizeSpec)
+	key, err := (&optimizeJob{spec: spec}).key()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs := &coalescedSearch{key: string(key), w1: newStalledWriter(), done1: make(chan error, 1), done2: make(chan error, 1)}
+	ctx1, cancel1 := context.WithCancel(context.Background())
+	ctx2, cancel2 := context.WithCancel(context.Background())
+	cs.cancel1, cs.cancel2 = cancel1, cancel2
+	go func() {
+		_, err := srv.RunOptimize(ctx1, spec, cs.w1)
+		cs.done1 <- err
+	}()
+	<-cs.w1.entered
+	go func() {
+		_, err := srv.RunOptimize(ctx2, spec, &cs.out2)
+		cs.done2 <- err
+	}()
+	waitFor(t, "the second caller to coalesce", func() bool { return srv.flight.waiting(cs.key) == 2 })
+	return cs
+}
+
+// TestCoalescedOptimizeSurvivesFirstCallerCancel: the caller that
+// started a search hangs up; the caller coalesced onto it still gets
+// the result, from the one computation.
+func TestCoalescedOptimizeSurvivesFirstCallerCancel(t *testing.T) {
+	srv := New(Options{Workers: 1})
+	cs := startCoalescedSearch(t, srv)
+	defer cs.cancel2()
+	cs.cancel1()
+	waitFor(t, "the first caller to stop waiting", func() bool { return srv.flight.waiting(cs.key) == 1 })
+	close(cs.w1.release) // the search leaves its first progress frame
+	if err := <-cs.done1; err == nil {
+		t.Error("the caller that hung up reported no error")
+	}
+	if err := <-cs.done2; err != nil {
+		t.Fatalf("coalesced caller: %v\n%s", err, cs.out2.String())
+	}
+	lines := strings.Split(strings.TrimSpace(cs.out2.String()), "\n")
+	var res ResultLine
+	if len(lines) != 1 || json.Unmarshal([]byte(lines[0]), &res) != nil || res.Kind != FrameResult || !res.Cached {
+		t.Fatalf("coalesced caller streamed %q, want one shared result frame", cs.out2.String())
+	}
+	if got := srv.Computes(); got != 1 {
+		t.Errorf("computed %d times, want 1", got)
+	}
+}
+
+// TestCoalescedOptimizeAllCancelStopsEngine: when every caller hangs
+// up, the search is cancelled and forgotten, so a later request starts
+// a fresh one instead of joining it, and the cancelled engine returns.
+func TestCoalescedOptimizeAllCancelStopsEngine(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	srv := New(Options{Workers: 1})
+	cs := startCoalescedSearch(t, srv)
+	cs.cancel2()
+	if err := <-cs.done2; err == nil {
+		t.Error("the coalesced caller that hung up reported no error")
+	}
+	cs.cancel1()
+	waitFor(t, "the cancelled flight to be forgotten", func() bool { return srv.flight.Inflight() == 0 })
+
+	// The cancelled engine is still held in its progress frame; a new
+	// request must compute on its own.
+	var out strings.Builder
+	rep, err := srv.RunOptimize(context.Background(), mustParseOptimize(t, slowOptimizeSpec), &out)
+	if err != nil || rep == nil {
+		t.Fatalf("request after the cancellation: report %v, err %v\n%s", rep, err, out.String())
+	}
+	if !strings.Contains(out.String(), `"kind":"result","cached":false`) {
+		t.Fatalf("request after the cancellation was not computed afresh:\n%s", out.String())
+	}
+	if got := srv.Computes(); got != 2 {
+		t.Errorf("computed %d times, want 2", got)
+	}
+
+	close(cs.w1.release)
+	if err := <-cs.done1; err == nil {
+		t.Error("the first caller that hung up reported no error")
+	}
+	waitFor(t, "the cancelled engine to return", func() bool { return runtime.NumGoroutine() <= baseline })
+	if n := srv.flight.Inflight(); n != 0 {
+		t.Errorf("Inflight() = %d after every search ended", n)
+	}
+}
+
+func mustParseOptimize(t *testing.T, body string) *optimize.SearchSpec {
+	t.Helper()
+	spec, err := optimize.Parse(strings.NewReader(body), "test")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return spec
 }

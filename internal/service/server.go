@@ -4,7 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
+	"io"
 	"log/slog"
 	"math"
 	"net/http"
@@ -16,7 +16,6 @@ import (
 	"github.com/ccnet/ccnet/internal/canon"
 	"github.com/ccnet/ccnet/internal/cluster"
 	"github.com/ccnet/ccnet/internal/core"
-	"github.com/ccnet/ccnet/internal/netchar"
 	"github.com/ccnet/ccnet/internal/reqtrace"
 	"github.com/ccnet/ccnet/internal/scenario"
 	"github.com/ccnet/ccnet/internal/version"
@@ -63,14 +62,11 @@ type Server struct {
 	// streaming tests substitute gated executors.
 	exec batch.Exec
 
-	evaluates   atomic.Uint64
-	sweeps      atomic.Uint64
-	campaigns   atomic.Uint64
+	// requests counts the requests of each compute kind, indexed like
+	// endpoints.
+	requests    [len(endpoints)]atomic.Uint64
 	batches     atomic.Uint64
 	batchItems  atomic.Uint64
-	optimizes   atomic.Uint64
-	perfabs     atomic.Uint64
-	fleetsims   atomic.Uint64
 	computes    atomic.Uint64
 	coalesced   atomic.Uint64
 	failures    atomic.Uint64
@@ -118,16 +114,11 @@ func (s *Server) Computes() uint64 { return s.computes.Load() }
 
 // Handler returns the route table:
 //
-//	POST /v1/evaluate   one analytical evaluation at a single rate
-//	POST /v1/sweep      an analytical sweep over a lambda grid
-//	POST /v1/campaign   a full scenario spec (same JSON as ccscen files)
+//	POST /v1/{name}     one compute request of each kind in endpoints:
+//	                    evaluate, sweep and campaign answer an Envelope;
+//	                    optimize, performability and fleetsim stream NDJSON
 //	POST /v1/batch      a batch of evaluate/sweep/campaign/performability/
 //	                    fleetsim items (NDJSON stream)
-//	POST /v1/optimize   a design-space search spec (NDJSON progress + frontier)
-//	POST /v1/performability  a scenario spec with a performability block
-//	                    (NDJSON progress + report)
-//	POST /v1/fleetsim   a kind "fleetsim" scenario spec (NDJSON epoch
-//	                    stream + report)
 //	GET  /v1/healthz    liveness + version
 //	GET  /v1/version    build version, API/schema versions, shard ID
 //	GET  /v1/stats      request and cache counters
@@ -145,13 +136,10 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/stats", s.handleStats)
 	mux.Handle("GET /metrics", s.m.reg.Handler())
 	mux.Handle("GET /v1/traces", s.opt.Tracer.Handler())
-	mux.HandleFunc("POST /v1/evaluate", s.handleEvaluate)
-	mux.HandleFunc("POST /v1/sweep", s.handleSweep)
-	mux.HandleFunc("POST /v1/campaign", s.handleCampaign)
 	mux.HandleFunc("POST /v1/batch", s.handleBatch)
-	mux.HandleFunc("POST /v1/optimize", s.handleOptimize)
-	mux.HandleFunc("POST /v1/performability", s.handlePerformability)
-	mux.HandleFunc("POST /v1/fleetsim", s.handleFleetSim)
+	for i := range endpoints {
+		mux.HandleFunc("POST /v1/"+endpoints[i].name, s.handle(i))
+	}
 	return s.instrument(mux)
 }
 
@@ -161,17 +149,6 @@ func (s *Server) Handler() http.Handler {
 type MessageJSON struct {
 	Flits     int `json:"flits"`
 	FlitBytes int `json:"flitBytes"`
-}
-
-func (m *MessageJSON) validate() []error {
-	var errs []error
-	if m.Flits <= 0 {
-		errs = append(errs, fmt.Errorf("message.flits: must be positive, got %d", m.Flits))
-	}
-	if m.FlitBytes <= 0 {
-		errs = append(errs, fmt.Errorf("message.flitBytes: must be positive, got %d", m.FlitBytes))
-	}
-	return errs
 }
 
 // EvaluateRequest is the body of POST /v1/evaluate: one system, one
@@ -342,251 +319,20 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		UptimeSeconds: time.Since(s.start).Seconds(),
 		Goroutines:    runtime.NumGoroutine(),
 		Workers:       s.workers(),
-		Evaluates:     s.evaluates.Load(),
-		Sweeps:        s.sweeps.Load(),
-		Campaigns:     s.campaigns.Load(),
+		Evaluates:     s.requests[epEvaluate].Load(),
+		Sweeps:        s.requests[epSweep].Load(),
+		Campaigns:     s.requests[epCampaign].Load(),
 		Batches:       s.batches.Load(),
 		BatchItems:    s.batchItems.Load(),
-		Optimizes:     s.optimizes.Load(),
-		Perfabs:       s.perfabs.Load(),
-		FleetSims:     s.fleetsims.Load(),
+		Optimizes:     s.requests[epOptimize].Load(),
+		Perfabs:       s.requests[epPerformability].Load(),
+		FleetSims:     s.requests[epFleetSim].Load(),
 		Computes:      s.computes.Load(),
 		Coalesced:     s.coalesced.Load(),
 		Failures:      s.failures.Load(),
 		WriteErrors:   s.writeErrors.Load(),
 		Cache:         s.cache.Stats(),
 	})
-}
-
-func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
-	s.evaluates.Add(1)
-	var req EvaluateRequest
-	if err := s.decodeTraced(w, r, &req); err != nil {
-		s.fail(w, r, http.StatusBadRequest, err)
-		return
-	}
-	payload, key, class, err := s.evaluate(r.Context(), &req)
-	s.finish(w, r, key, payload, class, err)
-}
-
-// evaluate validates and computes one evaluate request through the
-// cache; the HTTP handler and the batch executor share it. Errors caused
-// by the request are badRequest-tagged.
-func (s *Server) evaluate(ctx context.Context, req *EvaluateRequest) (payload []byte, key canon.Key, class string, err error) {
-	var errs []error
-	if err := req.System.Validate(); err != nil {
-		errs = append(errs, err)
-	}
-	errs = append(errs, req.Message.validate()...)
-	if err := req.Model.Validate(); err != nil {
-		errs = append(errs, err)
-	}
-	if req.Lambda <= 0 || math.IsNaN(req.Lambda) || math.IsInf(req.Lambda, 0) {
-		errs = append(errs, fmt.Errorf("lambda: must be a positive finite rate, got %v", req.Lambda))
-	}
-	if len(errs) > 0 {
-		return nil, "", "", badRequest(errors.Join(errs...))
-	}
-	sys, err := req.System.Build("request")
-	if err != nil {
-		return nil, "", "", badRequest(err)
-	}
-
-	msg := netchar.MessageSpec{Flits: req.Message.Flits, FlitBytes: req.Message.FlitBytes}
-	opt := req.Model.Options(req.StoreAndForward)
-	sp := reqtrace.FromContext(ctx).StartSpan("canon")
-	f := canon.ModelFields("evaluate", sys, msg, opt)
-	f.Float(req.Lambda)
-	key, err = f.Key()
-	sp.EndErr(err)
-	if err != nil {
-		return nil, "", "", err
-	}
-
-	payload, class, err = s.do(ctx, key, func() ([]byte, error) {
-		m, err := core.New(sys, msg, opt)
-		if err != nil {
-			return nil, badRequest(err)
-		}
-		res := m.Evaluate(req.Lambda)
-		return json.Marshal(EvaluateResult{System: systemInfo(sys), PointJSON: pointJSON(res)})
-	})
-	return payload, key, class, err
-}
-
-func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	s.sweeps.Add(1)
-	var req SweepRequest
-	if err := s.decodeTraced(w, r, &req); err != nil {
-		s.fail(w, r, http.StatusBadRequest, err)
-		return
-	}
-	payload, key, class, err := s.sweep(r.Context(), &req)
-	s.finish(w, r, key, payload, class, err)
-}
-
-// sweep validates and computes one sweep request through the cache; the
-// HTTP handler and the batch executor share it.
-func (s *Server) sweep(ctx context.Context, req *SweepRequest) (payload []byte, key canon.Key, class string, err error) {
-	var errs []error
-	if err := req.System.Validate(); err != nil {
-		errs = append(errs, err)
-	}
-	errs = append(errs, req.Message.validate()...)
-	if err := req.Model.Validate(); err != nil {
-		errs = append(errs, err)
-	}
-	if err := req.Lambda.Validate("lambda"); err != nil {
-		errs = append(errs, err)
-	}
-	if len(errs) > 0 {
-		return nil, "", "", badRequest(errors.Join(errs...))
-	}
-	sys, err := req.System.Build("request")
-	if err != nil {
-		return nil, "", "", badRequest(err)
-	}
-
-	// A synthetic one-series spec reuses the scenario engine's model
-	// construction and grid materialization (including auto grids).
-	spec := &scenario.Spec{
-		Name:   "sweep",
-		System: req.System,
-		Traffic: scenario.TrafficSpec{
-			Flits:     req.Message.Flits,
-			FlitBytes: []int{req.Message.FlitBytes},
-			Lambda:    req.Lambda,
-		},
-		Model: req.Model,
-	}
-	msg := netchar.MessageSpec{Flits: req.Message.Flits, FlitBytes: req.Message.FlitBytes}
-	opt := req.Model.Options(req.StoreAndForward)
-
-	// Explicit grids resolve without building any model and key on the
-	// materialized rates. Auto grids would need the paper model's
-	// saturation bisection just to materialize — so they key on the
-	// resolved inputs instead (the grid is a pure function of them) and
-	// defer materialization to the compute path, keeping cache hits cheap
-	// on both shapes.
-	var grid []float64
-	if !req.Lambda.Auto {
-		if grid, err = spec.Grid(nil); err != nil {
-			return nil, "", "", badRequest(err)
-		}
-	}
-	sp := reqtrace.FromContext(ctx).StartSpan("canon")
-	var f *canon.Fields
-	if req.Lambda.Auto {
-		f = canon.ModelFields("sweep-auto", sys, msg, opt)
-		autoGridFields(f, req.Lambda)
-	} else {
-		f = canon.ModelFields("sweep", sys, msg, opt)
-		f.Floats(grid)
-	}
-	key, err = f.Key()
-	sp.EndErr(err)
-	if err != nil {
-		return nil, "", "", err
-	}
-
-	payload, class, err = s.do(ctx, key, func() ([]byte, error) {
-		g := grid
-		var models []*core.Model
-		if g == nil { // auto grid: materialize from the paper model
-			paper, err := spec.BuildModels(sys, false)
-			if err != nil {
-				return nil, badRequest(err)
-			}
-			if g, err = spec.Grid(paper); err != nil {
-				return nil, badRequest(err)
-			}
-			if !req.StoreAndForward {
-				models = paper
-			}
-		}
-		if models == nil {
-			var err error
-			if models, err = spec.BuildModels(sys, req.StoreAndForward); err != nil {
-				return nil, badRequest(err)
-			}
-		}
-		m := models[0]
-		out := SweepResult{
-			System:          systemInfo(sys),
-			SaturationPoint: m.SaturationPoint(1.0, 1e-4),
-		}
-		for _, res := range m.SweepParallel(g, s.workers()) {
-			out.Points = append(out.Points, pointJSON(res))
-		}
-		return json.Marshal(out)
-	})
-	return payload, key, class, err
-}
-
-func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
-	s.campaigns.Add(1)
-	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	sp := reqtrace.FromContext(r.Context()).StartSpan("decode")
-	spec, err := scenario.Parse(r.Body, "request")
-	sp.EndErr(err)
-	if err != nil {
-		s.fail(w, r, http.StatusBadRequest, badRequest(err))
-		return
-	}
-	payload, key, class, err := s.campaign(r.Context(), spec)
-	s.finish(w, r, key, payload, class, err)
-}
-
-// campaign computes one parsed scenario through the cache; the HTTP
-// handler and the batch executor share it.
-func (s *Server) campaign(ctx context.Context, spec *scenario.Spec) (payload []byte, key canon.Key, class string, err error) {
-	// Normalize the one default the runner applies itself, so "seed
-	// omitted" and "seed: 1" share a cache entry.
-	norm := *spec
-	if norm.Seed == 0 {
-		norm.Seed = 1
-	}
-	sp := reqtrace.FromContext(ctx).StartSpan("canon")
-	key, err = canon.Hash("campaign", norm)
-	sp.EndErr(err)
-	if err != nil {
-		return nil, "", "", err
-	}
-
-	payload, class, err = s.do(ctx, key, func() ([]byte, error) {
-		runner := &scenario.Runner{Workers: s.workers()}
-		o := runner.Run([]*scenario.Spec{spec})[0]
-		if o.Err != nil {
-			return nil, badRequest(fmt.Errorf("scenario %s: %w", spec.Name, o.Err))
-		}
-		out := CampaignResult{
-			Name:   o.Result.ID,
-			Title:  o.Result.Title,
-			System: systemInfo(o.Sys),
-			Passed: o.Passed(),
-			Notes:  o.Result.Notes,
-		}
-		for _, series := range o.Result.Series {
-			cs := CampaignSeries{Label: series.Label}
-			for _, p := range series.Points {
-				cs.Points = append(cs.Points, CampaignPoint{
-					Lambda:     p.Lambda,
-					Analysis:   num(p.Analysis),
-					AnalysisSF: num(p.AnalysisSF),
-					Simulation: num(p.Simulation),
-					SimCI:      num(p.SimCI),
-				})
-			}
-			out.Series = append(out.Series, cs)
-		}
-		for _, a := range o.Assertions {
-			out.Assertions = append(out.Assertions, AssertionJSON{
-				Type: a.Spec.Type, Pass: a.Pass, Detail: a.Detail,
-			})
-		}
-		return json.Marshal(out)
-	})
-	return payload, key, class, err
 }
 
 // --- plumbing --------------------------------------------------------------
@@ -598,61 +344,9 @@ func (s *Server) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// do answers key from the cache, or computes through the singleflight
-// group (so concurrent identical requests compute once) and caches the
-// successful payload. class reports how the answer was produced:
-// classHit (cache), classCoalesced (shared a concurrent identical
-// computation) or classMiss (computed here). The stage spans land on
-// the request's trace: "cache" for the lookup, "compute" on the caller
-// that ran the computation, "wait" on callers that coalesced onto it.
-func (s *Server) do(ctx context.Context, key canon.Key, compute func() ([]byte, error)) (payload []byte, class string, err error) {
-	tr := reqtrace.FromContext(ctx)
-	cs := tr.StartSpan("cache")
-	if v, ok := s.cache.Get(key); ok {
-		cs.Attr(reqtrace.String("class", classHit)).End()
-		return v, classHit, nil
-	}
-	cs.End()
-	flightStart := time.Now()
-	v, err, shared := s.flight.Do(string(key), func() ([]byte, error) {
-		s.computes.Add(1)
-		sp := tr.StartSpan("compute")
-		v, err := compute()
-		sp.EndErr(err)
-		if err == nil {
-			s.cache.Put(key, v)
-		}
-		return v, err
-	})
-	if shared {
-		s.coalesced.Add(1)
-		tr.RecordSpan("wait", flightStart, time.Since(flightStart)).
-			Attr(reqtrace.String("class", classCoalesced))
-		return v, classCoalesced, err
-	}
-	return v, classMiss, err
-}
-
 // cachedClass reports whether class avoided its own computation (the
 // Envelope.Cached field and the batch Outcome.Cached field).
 func cachedClass(class string) bool { return class == classHit || class == classCoalesced }
-
-// finish writes the enveloped payload, or maps the compute error to its
-// status code. The X-Cache header carries the hit class verbatim
-// ("hit", "coalesced" or "miss"); the instrumentation middleware reads
-// it back for the histogram label.
-func (s *Server) finish(w http.ResponseWriter, r *http.Request, key canon.Key, payload []byte, class string, err error) {
-	if err != nil {
-		s.fail(w, r, statusFor(err), err)
-		return
-	}
-	w.Header().Set("X-Cache", class)
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	if err := writeResult(w, "", cachedClass(class), key, payload); err != nil {
-		s.writeErrors.Add(1)
-	}
-}
 
 // fail answers a request with the typed APIError envelope — the only
 // non-2xx body shape the v1 API emits — annotates the trace, and logs
@@ -679,8 +373,8 @@ func (s *Server) fail(w http.ResponseWriter, r *http.Request, status int, err er
 	s.writeJSON(w, status, ae)
 }
 
-// badRequestError marks compute-time failures caused by the request
-// (rather than the service), so finish maps them to 400.
+// badRequestError marks failures caused by the request (rather than
+// the service), so statusFor maps them to 400.
 type badRequestError struct{ err error }
 
 func (e *badRequestError) Error() string { return e.err.Error() }
@@ -688,22 +382,11 @@ func (e *badRequestError) Unwrap() error { return e.err }
 
 func badRequest(err error) error { return &badRequestError{err: err} }
 
-// decodeTraced is decodeJSON with the "decode" stage span on the
-// request's trace (body read + parse, the first stage of every JSON
-// compute endpoint).
-func (s *Server) decodeTraced(w http.ResponseWriter, r *http.Request, dst any) error {
-	sp := reqtrace.FromContext(r.Context()).StartSpan("decode")
-	err := decodeJSON(w, r, dst)
-	sp.EndErr(err)
-	return err
-}
-
 // decodeJSON decodes a single JSON document into dst, rejecting unknown
 // fields and trailing data, with decode errors rewritten into the
 // scenario loader's field-path language.
-func decodeJSON(w http.ResponseWriter, r *http.Request, dst any) error {
-	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	dec := json.NewDecoder(r.Body)
+func decodeJSON(r io.Reader, dst any) error {
+	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
 		return scenario.DecodeError(err)

@@ -93,6 +93,7 @@ type stream struct {
 	flusher http.Flusher
 	lines   *metrics.Counter
 	reqID   string
+	err     error // the first failed write; later frames are dropped
 }
 
 // newStream opens the per-endpoint stream accounting; the returned
@@ -114,10 +115,18 @@ func (s *Server) newStream(ctx context.Context, endpoint string, w io.Writer) (*
 // emit writes one frame line, counting and flushing it. An encode
 // failure means the client hung up: it is counted in writeErrors and
 // returned so the caller can stop streaming.
-func (st *stream) emit(line any) error { return st.sent(st.enc.Encode(line)) }
+func (st *stream) emit(line any) error {
+	if st.err != nil {
+		return st.err
+	}
+	return st.sent(st.enc.Encode(line))
+}
 
 // emitResult writes the terminal success frame.
 func (st *stream) emitResult(cached bool, key canon.Key, payload []byte) error {
+	if st.err != nil {
+		return st.err
+	}
 	return st.sent(writeResult(st.w, FrameResult, cached, key, payload))
 }
 
@@ -125,6 +134,7 @@ func (st *stream) emitResult(cached bool, key canon.Key, payload []byte) error {
 func (st *stream) sent(err error) error {
 	if err != nil {
 		st.srv.writeErrors.Add(1)
+		st.err = err
 		return err
 	}
 	st.lines.Inc()
