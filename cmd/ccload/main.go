@@ -93,7 +93,8 @@ run flags:
   -url URL        drive a remote server instead of in-process
   -routed K       drive an in-process K-replica cluster behind ccrouter
                   instead of a single in-process server
-  -server-workers N  in-process server worker pool (default GOMAXPROCS)
+  -server-workers N  in-process server workers per engine run and batch
+                     (default GOMAXPROCS)
   -out FILE       write the NDJSON artifact to FILE instead of stdout
   -dry-run        print the generated sequence and its SHA, send nothing
 
@@ -108,7 +109,8 @@ sweep flags:
   -url URL         drive a remote server (default: fresh in-process
                    server per cell)
   -routed K        drive a shared in-process K-replica routed cluster
-  -server-workers N  in-process server worker pool (default GOMAXPROCS)
+  -server-workers N  in-process server workers per engine run and batch
+                     (default GOMAXPROCS)
   -out FILE        write the sweep report JSON to FILE
   -baseline FILE   compare against FILE; violations exit 1
   -min-rps-pct P   achieved rps must be ≥ P%% of baseline (default 60)

@@ -17,10 +17,9 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
+
+	"github.com/ccnet/ccnet/internal/par"
 )
 
 // MaxItems bounds one batch; a request this size streams for a while but
@@ -103,91 +102,34 @@ func (e *Engine) Run(ctx context.Context, items []Item, emit func(Outcome) error
 	if e.Exec == nil {
 		return sum, fmt.Errorf("batch: Engine.Exec is nil")
 	}
-	if len(items) == 0 {
-		sum.WallSecs = time.Since(start).Seconds()
-		return sum, nil
-	}
 	if len(items) > MaxItems {
 		return sum, fmt.Errorf("batch: %d items exceed the %d-item limit", len(items), MaxItems)
 	}
 
-	// A derived context lets an emit failure stop the pool the same way
-	// caller cancellation does.
+	// A derived context lets an emit failure stop the items in flight
+	// the same way caller cancellation does.
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	workers := e.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(items) {
-		workers = len(items)
-	}
-
 	outcomes := make([]Outcome, len(items))
-	done := make([]chan struct{}, len(items))
-	for i := range done {
-		done[i] = make(chan struct{})
-	}
-
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(items) {
-					return
-				}
-				if ctx.Err() != nil {
-					// Canceled: mark the remaining items done without
-					// executing so the emitter can drain and report.
-					outcomes[i] = Outcome{Index: i, ID: items[i].ID, Kind: items[i].Kind, Err: ctx.Err()}
-					close(done[i])
-					continue
-				}
-				t0 := time.Now()
-				o := e.Exec(ctx, i, items[i])
-				o.Index = i
-				o.QueueWait = t0.Sub(start)
-				if o.ID == "" {
-					o.ID = items[i].ID
-				}
-				if o.Kind == "" {
-					o.Kind = items[i].Kind
-				}
-				o.Elapsed = time.Since(t0)
-				outcomes[i] = o
-				close(done[i])
-			}
-		}()
-	}
-	defer wg.Wait()
-
-	var emitErr error
-	for i := range items {
-		select {
-		case <-done[i]:
-		case <-ctx.Done():
-			sum.Canceled = true
-			sum.WallSecs = time.Since(start).Seconds()
-			return sum, context.Cause(ctx)
+	err := par.For(ctx, len(items), e.Workers, func(i int) {
+		t0 := time.Now()
+		o := e.Exec(ctx, i, items[i])
+		o.Index = i
+		o.QueueWait = t0.Sub(start)
+		if o.ID == "" {
+			o.ID = items[i].ID
 		}
-		o := outcomes[i]
-		if o.Err != nil && ctx.Err() != nil {
-			// The pool was already winding down; stop emitting rather
-			// than stream one ctx error per remaining item.
-			sum.Canceled = true
-			sum.WallSecs = time.Since(start).Seconds()
-			return sum, context.Cause(ctx)
+		if o.Kind == "" {
+			o.Kind = items[i].Kind
 		}
-		if emitErr = emit(o); emitErr != nil {
+		o.Elapsed = time.Since(t0)
+		outcomes[i] = o
+	}, func(i int) error {
+		o := &outcomes[i]
+		if err := emit(*o); err != nil {
 			cancel()
-			sum.Canceled = true
-			sum.WallSecs = time.Since(start).Seconds()
-			return sum, fmt.Errorf("batch: emit item %d: %w", i, emitErr)
+			return fmt.Errorf("batch: emit item %d: %w", i, err)
 		}
 		sum.Emitted++
 		if o.Err != nil {
@@ -200,10 +142,15 @@ func (e *Engine) Run(ctx context.Context, items []Item, emit func(Outcome) error
 				sum.CacheMisses++
 			}
 		}
+		return nil
+	})
+	sum.WallSecs = time.Since(start).Seconds()
+	if err != nil {
+		sum.Canceled = true
+		return sum, err
 	}
 	if answered := sum.CacheHits + sum.CacheMisses; answered > 0 {
 		sum.HitRate = float64(sum.CacheHits) / float64(answered)
 	}
-	sum.WallSecs = time.Since(start).Seconds()
 	return sum, nil
 }

@@ -1,11 +1,11 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
-	"sync/atomic"
+
+	"github.com/ccnet/ccnet/internal/par"
 )
 
 // Sweep evaluates the model at each traffic rate and returns the results
@@ -21,35 +21,13 @@ func (m *Model) Sweep(lambdas []float64) []*Result {
 // SweepParallel evaluates the model at each traffic rate across a pool of
 // workers goroutines and returns the results in grid order, identical to
 // Sweep (Evaluate only reads the Model, so concurrent evaluations are
-// safe). workers <= 0 uses GOMAXPROCS; a single worker, or a grid of one
-// point, falls back to the serial Sweep.
+// safe). workers <= 0 uses GOMAXPROCS; a single worker runs the grid on
+// the calling goroutine.
 func (m *Model) SweepParallel(lambdas []float64, workers int) []*Result {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(lambdas) {
-		workers = len(lambdas)
-	}
-	if workers <= 1 {
-		return m.Sweep(lambdas)
-	}
 	out := make([]*Result, len(lambdas))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(lambdas) {
-					return
-				}
-				out[i] = m.Evaluate(lambdas[i])
-			}
-		}()
-	}
-	wg.Wait()
+	_ = par.For(context.Background(), len(lambdas), workers, func(i int) {
+		out[i] = m.Evaluate(lambdas[i])
+	}, nil) // never cancelled, so For cannot fail
 	return out
 }
 

@@ -15,7 +15,7 @@
 // distinct (failed vector, traffic rate) the trajectory visits is
 // rebuilt and evaluated once through the same core.NewDegraded +
 // topology.SurvivorDistanceDistribution path perfab uses, sharded over
-// the internal/batch worker pool with ordered absorption — so identical
+// internal/par's parallel loop with ordered absorption — so identical
 // spec+seed produce byte-identical trajectories at any worker count.
 //
 // The scenario format carries the block ("fleetsim" kind), cmd/ccscen

@@ -3,12 +3,10 @@ package optimize
 import (
 	"context"
 	"math"
-	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 
-	"github.com/ccnet/ccnet/internal/batch"
+	"github.com/ccnet/ccnet/internal/par"
 	"github.com/ccnet/ccnet/internal/rng"
 )
 
@@ -172,7 +170,7 @@ type searchState struct {
 
 	sinceProgress int
 
-	// scratchPool recycles evalScratch values across evaluation waves;
+	// scratchPool recycles evalScratch values across evaluations;
 	// results are scratch-independent, so pooling cannot perturb the
 	// deterministic trajectory.
 	scratchPool sync.Pool
@@ -260,56 +258,19 @@ func (st *searchState) emitProgress() {
 	st.engine.Progress(p)
 }
 
-// evalChunk shards ids across a worker pool and absorbs the results in
+// evalChunk evaluates ids through par.For and absorbs the results in
 // id-list order, so aggregation is deterministic at any worker count.
-// The pool is a bare atomic-counter shard (no per-item channel), and the
-// chunk's result buffer is reused across waves.
+// The chunk's result buffer is reused across waves.
 func (st *searchState) evalChunk(ctx context.Context, ids []uint64) error {
-	if len(ids) == 0 {
-		return nil
-	}
 	if cap(st.results) < len(ids) {
 		st.results = make([]candResult, len(ids))
 	}
 	results := st.results[:len(ids)]
-
-	workers := st.engine.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(ids) {
-		workers = len(ids)
-	}
-	if workers <= 1 {
+	if err := par.For(ctx, len(ids), st.engine.Workers, func(i int) {
 		sc := st.getScratch()
-		for i, id := range ids {
-			if ctx.Err() != nil {
-				break
-			}
-			results[i] = st.space.evaluate(id, sc)
-		}
+		results[i] = st.space.evaluate(ids[i], sc)
 		st.scratchPool.Put(sc)
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				sc := st.getScratch()
-				defer st.scratchPool.Put(sc)
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(ids) || ctx.Err() != nil {
-						return
-					}
-					results[i] = st.space.evaluate(ids[i], sc)
-				}
-			}()
-		}
-		wg.Wait()
-	}
-	if err := context.Cause(ctx); err != nil {
+	}, nil); err != nil {
 		return err
 	}
 	for i := range results {
@@ -474,8 +435,8 @@ const (
 )
 
 // runAnneal runs spec.Search.Chains independent simulated-annealing
-// chains, each a deterministic function of (seed, chain index), sharded
-// across the worker pool as batch items and merged in chain order.
+// chains, each a deterministic function of (seed, chain index), through
+// par.For and merges them in chain order.
 func (st *searchState) runAnneal(ctx context.Context) error {
 	opts := &st.space.spec.Search
 	chains := opts.chains()
@@ -486,21 +447,15 @@ func (st *searchState) runAnneal(ctx context.Context) error {
 	base := rng.New(st.space.spec.seed(), annealSalt)
 
 	outs := make([][]candResult, chains)
-	eng := &batch.Engine{
-		Workers: st.engine.Workers,
-		Exec: func(_ context.Context, i int, _ batch.Item) batch.Outcome {
-			outs[i] = st.space.annealChain(base.Derive(uint64(i)), steps)
-			return batch.Outcome{}
-		},
-	}
-	_, err := eng.Run(ctx, make([]batch.Item, chains), func(o batch.Outcome) error {
-		for j := range outs[o.Index] {
-			st.absorb(&outs[o.Index][j])
+	return par.For(ctx, chains, st.engine.Workers, func(i int) {
+		outs[i] = st.space.annealChain(base.Derive(uint64(i)), steps)
+	}, func(i int) error {
+		for j := range outs[i] {
+			st.absorb(&outs[i][j])
 		}
-		outs[o.Index] = nil
+		outs[i] = nil
 		return nil
 	})
-	return err
 }
 
 // annealChain walks one Metropolis chain of the given length and

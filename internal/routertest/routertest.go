@@ -37,7 +37,7 @@ type Config struct {
 	MaxRetries int
 	// RetryBackoff passes through to the router (zero means default).
 	RetryBackoff time.Duration
-	// Workers bounds each replica's sweep/campaign parallelism (zero
+	// Workers bounds each replica's engine and batch parallelism (zero
 	// means the service default, GOMAXPROCS).
 	Workers int
 	// NewHandler, when set, replaces the real service handler for every

@@ -1,18 +1,17 @@
 package scenario
 
 import (
+	"context"
 	"fmt"
 	"hash/fnv"
 	"math"
-	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/ccnet/ccnet/internal/cluster"
 	"github.com/ccnet/ccnet/internal/core"
 	"github.com/ccnet/ccnet/internal/experiments"
 	"github.com/ccnet/ccnet/internal/netchar"
+	"github.com/ccnet/ccnet/internal/par"
 	"github.com/ccnet/ccnet/internal/rng"
 	"github.com/ccnet/ccnet/internal/sim"
 	"github.com/ccnet/ccnet/internal/stats"
@@ -91,18 +90,18 @@ type simJob struct {
 	point  int
 }
 
-// Run executes the campaign: scenarios are prepared and analytically
-// swept in order (each sweep fans its grid across the worker pool via
-// core.SweepParallel), then every simulation job of every scenario is
-// drained through one shared pool, and finally assertions are evaluated.
-// One scenario's failure does not stop the others; inspect each
-// Outcome's Err and Passed.
-func (r *Runner) Run(specs []*Spec) []*Outcome {
-	workers := r.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+// Run executes the campaign without a deadline; see RunContext.
+func (r *Runner) Run(specs []*Spec) []*Outcome { return r.RunContext(context.Background(), specs) }
 
+// RunContext executes the campaign: scenarios are prepared and
+// analytically swept in order (each sweep fans its grid out through
+// core.SweepParallel), then every simulation job of every scenario is
+// drained through one shared par.For, and finally assertions are
+// evaluated. One scenario's failure does not stop the others; inspect
+// each Outcome's Err and Passed. When ctx ends, no further simulation
+// job starts, and every scenario with a job that did not run fails with
+// the context's cause rather than return a partial result.
+func (r *Runner) RunContext(ctx context.Context, specs []*Spec) []*Outcome {
 	outcomes := make([]*Outcome, len(specs))
 	preps := make([]*prepared, len(specs))
 	starts := make([]time.Time, len(specs))
@@ -110,7 +109,7 @@ func (r *Runner) Run(specs []*Spec) []*Outcome {
 	for i, s := range specs {
 		starts[i] = time.Now()
 		outcomes[i] = &Outcome{Spec: s}
-		p, err := r.prepare(s, workers)
+		p, err := r.prepare(s)
 		if err != nil {
 			outcomes[i].Err = err
 			outcomes[i].Elapsed = time.Since(starts[i])
@@ -122,36 +121,21 @@ func (r *Runner) Run(specs []*Spec) []*Outcome {
 		jobs = append(jobs, p.simJobs()...)
 	}
 
-	// One pool drains every scenario's simulation grid — the campaign's
+	// One loop drains every scenario's simulation grid — the campaign's
 	// heavy phase parallelizes across scenarios and grid points alike.
-	if len(jobs) > 0 {
-		errs := make([]error, len(jobs))
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		n := workers
-		if n > len(jobs) {
-			n = len(jobs)
+	errs := make([]error, len(jobs))
+	ran := make([]bool, len(jobs))
+	cause := par.For(ctx, len(jobs), r.Workers, func(i int) {
+		errs[i], ran[i] = jobs[i].run(r.simCounts(jobs[i].p.spec)), true
+	}, nil)
+	for i, err := range errs {
+		if !ran[i] {
+			err = cause
 		}
-		wg.Add(n)
-		for w := 0; w < n; w++ {
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(jobs) {
-						return
-					}
-					errs[i] = jobs[i].run(r.simCounts(jobs[i].p.spec))
-				}
-			}()
-		}
-		wg.Wait()
-		for i, err := range errs {
-			if err != nil {
-				out := outcomeOf(outcomes, preps, jobs[i].p)
-				if out.Err == nil {
-					out.Err = err
-				}
+		if err != nil {
+			out := outcomeOf(outcomes, preps, jobs[i].p)
+			if out.Err == nil {
+				out.Err = err
 			}
 		}
 	}
@@ -180,7 +164,7 @@ func outcomeOf(outcomes []*Outcome, preps []*prepared, p *prepared) *Outcome {
 // prepare builds the system and models, materializes the grid, runs the
 // analytical columns through SweepParallel, and lays out the result with
 // NaN simulation slots for the job pool to fill.
-func (r *Runner) prepare(s *Spec, workers int) (*prepared, error) {
+func (r *Runner) prepare(s *Spec) (*prepared, error) {
 	sys, err := s.BuildSystem()
 	if err != nil {
 		return nil, err
@@ -219,10 +203,10 @@ func (r *Runner) prepare(s *Spec, workers int) (*prepared, error) {
 		series := experiments.Series{Label: fmt.Sprintf("Lm=%d", dm)}
 		var analysis, sf []*core.Result
 		if s.Engines.analysisOn() {
-			analysis = p.paper[si].SweepParallel(p.grid, workers)
+			analysis = p.paper[si].SweepParallel(p.grid, r.Workers)
 		}
 		if s.Engines.analysisSFOn() {
-			sf = p.sf[si].SweepParallel(p.grid, workers)
+			sf = p.sf[si].SweepParallel(p.grid, r.Workers)
 		}
 		for gi, l := range p.grid {
 			pt := experiments.Point{Lambda: l, Analysis: math.NaN(),

@@ -1,6 +1,8 @@
 package scenario_test
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"reflect"
 	"strings"
@@ -216,3 +218,34 @@ func TestAnalysisOnlyColumns(t *testing.T) {
 }
 
 func isNaN(v float64) bool { return v != v }
+
+// TestRunContextCancel: a campaign whose context has ended starts no
+// simulation job, fails every scenario that needed one with the
+// context's cause rather than return its partial result, and still
+// finishes the scenarios the analytical phase completed.
+func TestRunContextCancel(t *testing.T) {
+	analytic, err := scenario.Parse(strings.NewReader(`{
+	  "name": "analysis-only", "system": {"preset": "small"},
+	  "traffic": {"flits": 8, "flitBytes": [64], "lambda": {"values": [2e-4, 4e-4]}},
+	  "assertions": [{"type": "monotonic"}]
+	}`), "analysis-only.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs := append(campaignSpecs(t), analytic)
+	cause := errors.New("client went away")
+	ctx, cancel := context.WithCancelCause(context.Background())
+	cancel(cause)
+	outs := (&scenario.Runner{Workers: 2}).RunContext(ctx, specs)
+	for _, o := range outs[:2] {
+		if !errors.Is(o.Err, cause) {
+			t.Errorf("%s: Err = %v, want the cancellation cause", o.Spec.Name, o.Err)
+		}
+		if o.Passed() {
+			t.Errorf("%s: a cancelled scenario passed", o.Spec.Name)
+		}
+	}
+	if o := outs[2]; o.Err != nil || !o.Passed() || len(o.Assertions) != 1 {
+		t.Errorf("analysis-only scenario: err %v, assertions %+v; want it finished and passed", o.Err, o.Assertions)
+	}
+}

@@ -403,3 +403,47 @@ func TestBatchDisconnectCancelsPerformabilityItem(t *testing.T) {
 		t.Errorf("the cancelled analysis was cached (%d entries)", n)
 	}
 }
+
+// slowCampaignSpec simulates 48 grid points of the miniature at the
+// simulator's full default message counts, one job per point: on one
+// worker it computes for over ten seconds.
+const slowCampaignSpec = `{"name": "svc-camp-slow", "system": {"preset": "small"},
+	"traffic": {"flits": 4, "flitBytes": [64], "lambda": {"max": 1e-4, "points": 48}},
+	"engines": {"simulation": true, "simEvery": 1}}`
+
+// TestCampaignDisconnectCancelsSimulation: a client that hangs up on a
+// simulation campaign gets its handler back once the job in flight
+// ends, not after the whole grid, and nothing — flight, goroutine or
+// cache entry — outlives the request.
+func TestCampaignDisconnectCancelsSimulation(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	srv := New(Options{Workers: 1})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	req := httptest.NewRequest(http.MethodPost, "/v1/campaign", strings.NewReader(slowCampaignSpec)).WithContext(ctx)
+	rec := httptest.NewRecorder()
+	served := make(chan struct{})
+	go func() {
+		srv.Handler().ServeHTTP(rec, req)
+		close(served)
+	}()
+	waitFor(t, "the campaign to start computing", func() bool { return srv.flight.Inflight() == 1 })
+
+	cancel()
+	start := time.Now()
+	select {
+	case <-served:
+	case <-time.After(10 * time.Second):
+		t.Fatal("handler still running 10s after the client hung up")
+	}
+	t.Logf("handler returned %v after the hang-up", time.Since(start))
+	if rec.Code == http.StatusBadRequest || strings.Contains(rec.Body.String(), string(CodeInvalidSpec)) {
+		t.Errorf("the hang-up was blamed on the spec: %d %s", rec.Code, rec.Body)
+	}
+	waitFor(t, "the campaign to stop", func() bool {
+		return srv.flight.Inflight() == 0 && runtime.NumGoroutine() <= baseline
+	})
+	if n := srv.Cache().Len(); n != 0 {
+		t.Errorf("the cancelled campaign was cached (%d entries)", n)
+	}
+}

@@ -222,10 +222,13 @@ func newCampaignJob(spec *scenario.Spec) (*campaignJob, error) { return &campaig
 
 func (j *campaignJob) key() (canon.Key, error) { return scenarioKey("campaign", j.spec) }
 
-func (j *campaignJob) run(_ context.Context, workers int, _ func(any) error) ([]byte, error) {
+func (j *campaignJob) run(ctx context.Context, workers int, _ func(any) error) ([]byte, error) {
 	runner := &scenario.Runner{Workers: workers}
-	o := runner.Run([]*scenario.Spec{j.spec})[0]
+	o := runner.RunContext(ctx, []*scenario.Spec{j.spec})[0]
 	if o.Err != nil {
+		if ctx.Err() != nil {
+			return nil, o.Err // cancelled: not the spec's fault
+		}
 		return nil, badRequest(fmt.Errorf("scenario %s: %w", j.spec.Name, o.Err))
 	}
 	out := CampaignResult{

@@ -54,7 +54,7 @@ func (s *Server) initMetrics() {
 		"Batch worker-pool goroutines currently executing an item.")
 
 	reg.GaugeFunc("ccserved_worker_pool_size",
-		"Configured worker-pool size (sweep, campaign and batch parallelism).",
+		"Configured worker count (bounds every engine run and each batch).",
 		func() float64 { return float64(s.workers()) })
 	reg.GaugeFunc("ccserved_uptime_seconds",
 		"Seconds since the server started.",

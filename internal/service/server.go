@@ -33,8 +33,8 @@ type Options struct {
 	CacheEntries int
 	CacheBytes   int64
 	CacheTTL     time.Duration
-	// Workers bounds analytical sweep and campaign parallelism
-	// (default GOMAXPROCS).
+	// Workers bounds the goroutines of every engine run and of each
+	// batch (default GOMAXPROCS).
 	Workers int
 	// ShardID names this replica when it serves behind ccrouter: it is
 	// echoed in /v1/healthz, /v1/version and the X-Shard response
