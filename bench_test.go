@@ -151,6 +151,23 @@ func BenchmarkEvaluate(b *testing.B) {
 	}
 }
 
+// BenchmarkEvaluate544 is BenchmarkEvaluate on Table 1's N=544 system,
+// whose pair classes reach 75 crossing-length cells: it gates the
+// merged-unit recurrence on shapes with more than 32 cells per pair.
+func BenchmarkEvaluate544(b *testing.B) {
+	m, err := core.New(cluster.System544(), netchar.MessageSpec{Flits: 32, FlitBytes: 256}, core.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if m.Evaluate(3e-4).Saturated {
+			b.Fatal("unexpected saturation")
+		}
+	}
+}
+
 // sweepGrid is the shared grid for the serial-versus-parallel sweep
 // benchmarks: 64 stable points of the N=1120, M=32, Lm=256 model.
 func sweepModel(b *testing.B) (*core.Model, []float64) {

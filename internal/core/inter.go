@@ -27,24 +27,15 @@ func (p *PairResult) LEx() float64 { return p.WEx + p.TEx + p.EEx + p.SF }
 // Total returns the pair latency including both gateway queue waits.
 func (p *PairResult) Total() float64 { return p.LEx() + 2*p.WC }
 
-// pairCell is one (r, v, l) crossing-length combination of the merged
-// ECN1(i)→ICN2→ECN1(j) unit: its probability and the stage-chain shape
-// of Eqs 26–30. Cells are λ-independent and precomputed in New.
-type pairCell struct {
-	p      float64 // pr·pv·pl
-	k      int     // stage count K = r+2l+v−1
-	lo, hi int     // ICN2 segment bounds: stages [lo,hi) run on the ICN2
-}
-
 // pairClass caches everything about an ordered class pair that does not
-// depend on λ: the crossing-length cells, the Eq 33/34 tail sum, the
-// per-channel rate coefficients of Eqs 22–25 (rates are linear in λ),
-// Eq 28's relaxing factor, and the service-time constants.
+// depend on λ: the crossing-length cell probabilities, the Eq 33/34 tail
+// sum, the per-channel rate coefficients of Eqs 22–25 (rates are linear
+// in λ), Eq 28's relaxing factor, and the service-time constants.
 type pairClass struct {
-	cells  []pairCell
-	nr, nv int     // crossing-length ranges: cells is (r, v, l) lexicographic
-	eex    float64 // Eq 33/34 tail sum (λ-independent)
-	sf     float64 // gateway serialization term (0 unless S&F)
+	cells  []float64 // cell probabilities pr·pv·pl, (r, v, l) lexicographic
+	nr, nv int       // source and destination crossing-length ranges
+	eex    float64   // Eq 33/34 tail sum (λ-independent)
+	sf     float64   // gateway serialization term (0 unless S&F)
 
 	lamE1Cof  float64 // Eq 22: λ_E1 = λ·lamE1Cof
 	etaSrcCof float64 // Eq 24: η_E1(src) = λ·etaSrcCof
@@ -103,7 +94,7 @@ func (m *Model) buildPairClass(i, j int) pairClass {
 	pc := pairClass{
 		nr:       src.n,
 		nv:       dst.n,
-		cells:    make([]pairCell, 0, src.n*dst.n*m.nc),
+		cells:    make([]float64, 0, src.n*dst.n*m.nc),
 		tcsE1Src: src.tcsE1,
 		tcsE1Dst: dst.tcsE1,
 		tcnE1Src: src.tcnE1,
@@ -150,8 +141,8 @@ func (m *Model) buildPairClass(i, j int) pairClass {
 		pc.sf = M * (m.tcsI2 + dst.tcsE1)
 	}
 
-	// Eqs 20–21, 26–30 shapes and the Eq 33/34 tail sum over the
-	// (r, v, l) crossing-length distribution.
+	// Eq 20's cell weights and the Eq 33/34 tail sum over the (r, v, l)
+	// crossing-length distribution.
 	for r := 1; r <= src.n; r++ {
 		pr := src.p[r-1]
 		rLinks := r
@@ -166,12 +157,7 @@ func (m *Model) buildPairClass(i, j int) pairClass {
 			}
 			for l := 1; l <= m.nc; l++ {
 				p := pr * pv * m.pI2[l-1]
-				pc.cells = append(pc.cells, pairCell{
-					p:  p,
-					k:  rLinks + 2*l + vLinks - 1, // K = r+2l+v−1
-					lo: rLinks,
-					hi: rLinks + 2*l - 1,
-				})
+				pc.cells = append(pc.cells, p)
 				// Eq 34: tail time across the three networks.
 				pc.eex += p * (float64(rLinks-1)*src.tcsE1 +
 					float64(vLinks-1)*dst.tcsE1 +
@@ -182,50 +168,79 @@ func (m *Model) buildPairClass(i, j int) pairClass {
 	return pc
 }
 
-// maxFastCells bounds the stack buffer of cellLatencies; larger cell
-// sets fall back to per-cell stageChain3.
-const maxFastCells = 32
+// maxStackChains bounds the chain state mergedUnit keeps on the stack,
+// one wait sum per (v, l). Every benchmarked shape fits: 4-port trees of
+// height ≤ 6 under an ICN2 of height ≤ 4 need 24. Taller shapes spill to
+// the heap.
+const maxStackChains = 32
 
-// cellLatencies fills ts[i] with cell i's merged-unit latency — the
-// value stageChain3 returns for that cell, computed with the shared
-// backward prefix factored out. Every cell's recurrence starts from the
-// destination end with t = M·t_cn^{E1(j)}, runs v−1 destination steps,
-// 2l−1 ICN2 steps, then r source steps; cells that share (v, l) differ
-// only in how many source steps follow, so one chain per (v, l) captures
-// t after each additional source step. The split is at step boundaries
-// of the identical sequential recurrence, so each ts[i] is bit-identical
-// to the standalone call; callers keep their original summation order.
-func (m *Model) cellLatencies(pc *pairClass, etaSrc, etaI2, etaDst float64, ts []float64) {
+// mergedUnit returns Eq 20's average of the merged ECN1(i)→ICN2→ECN1(j)
+// unit latency (Eqs 26–30) over the pair's (r, v, l) crossing-length
+// cells at rate lambdaG. Each cell's backward stage recursion starts at
+// the destination end with t = M·t_cn^{E1(j)}, runs v−1 destination
+// steps, 2l−1 ICN2 steps (Eq 28's relaxing factor is folded into the
+// ICN2 rate), then r source steps (each step doubled under
+// CalibratedECNCrossing). Cells that share (v, l) differ only in how many
+// source steps follow, and longer prefixes extend shorter ones, so the
+// prefixes are built incrementally into one wait sum per (v, l); the
+// outer loop then advances every chain by one source crossing, which
+// yields the cells in their stored (r, v, l) order to be summed as they
+// are produced. The splits fall on step boundaries of the same
+// sequential recurrence, so every cell value is bit-identical to running
+// its recursion alone.
+func (m *Model) mergedUnit(pc *pairClass, lambdaG float64) float64 {
 	M := float64(m.Msg.Flits)
+	etaSrc := lambdaG * pc.etaSrcCof
+	etaDst := lambdaG * pc.etaDstCof
+	etaI2 := lambdaG * pc.etaI2Cof
 	mult := 1
 	if m.Opt.CalibratedECNCrossing {
 		mult = 2
 	}
-	stride := pc.nv * m.nc
-	for v := 1; v <= pc.nv; v++ {
-		vSteps := v*mult - 1
-		for l := 1; l <= m.nc; l++ {
-			t := M * pc.tcnE1Dst
-			wSum := 0.5 * etaDst * t * t
-			for s := 0; s < vSteps; s++ {
-				t = M*pc.tcsE1Dst + wSum
-				wSum += 0.5 * etaDst * t * t
-			}
-			for s := 0; s < 2*l-1; s++ {
-				t = M*m.tcsI2 + wSum
-				wSum += 0.5 * etaI2 * t * t
-			}
-			idx := (v-1)*m.nc + (l - 1)
-			for r := 1; r <= pc.nr; r++ {
-				for s := 0; s < mult; s++ {
-					t = M*pc.tcsE1Src + wSum
-					wSum += 0.5 * etaSrc * t * t
-				}
-				ts[idx] = t
-				idx += stride
+
+	var stack [maxStackChains]float64
+	chains := stack[:]
+	if n := pc.nv * m.nc; n > len(chains) {
+		chains = make([]float64, n)
+	}
+	n := 0
+	t := M * pc.tcnE1Dst
+	dSum := 0.5 * etaDst * t * t
+	for s := 1; s <= pc.nv*mult; s++ {
+		if s > 1 {
+			t = M*pc.tcsE1Dst + dSum
+			dSum += 0.5 * etaDst * t * t
+		}
+		if s%mult != 0 {
+			continue
+		}
+		// s = v·mult: v−1 destination crossings are done. Chain (v, l)
+		// branches off after the (2l−1)-th ICN2 step.
+		wSum := dSum
+		for h := 1; h < 2*m.nc; h++ {
+			t = M*m.tcsI2 + wSum
+			wSum += 0.5 * etaI2 * t * t
+			if h%2 == 1 {
+				chains[n] = wSum
+				n++
 			}
 		}
 	}
+
+	var sum float64
+	cell := 0
+	for r := 1; r <= pc.nr; r++ {
+		for c, wSum := range chains[:n] {
+			for s := 0; s < mult; s++ {
+				t = M*pc.tcsE1Src + wSum
+				wSum += 0.5 * etaSrc * t * t
+			}
+			chains[c] = wSum
+			sum += pc.cells[cell] * t
+			cell++
+		}
+	}
+	return sum
 }
 
 // PairLatency evaluates the inter-cluster latency of the ordered pair
@@ -252,27 +267,8 @@ func (m *Model) pairLatency(lambdaG float64, classPair int, res *PairResult) {
 	pc := &m.pairs[classPair]
 	M := float64(m.Msg.Flits)
 
-	etaSrc := lambdaG * pc.etaSrcCof
-	etaDst := lambdaG * pc.etaDstCof
-	etaI2 := lambdaG * pc.etaI2Cof // Eq 28's relaxing factor folded in
-
-	*res = PairResult{EEx: pc.eex, SF: pc.sf}
-
-	// Eqs 20–21, 26–30: average the merged-unit latency over the
-	// (r, v, l) crossing-length distribution.
-	if len(pc.cells) <= maxFastCells {
-		var ts [maxFastCells]float64
-		m.cellLatencies(pc, etaSrc, etaI2, etaDst, ts[:])
-		for i, c := range pc.cells {
-			res.TEx += c.p * ts[i]
-		}
-	} else {
-		for _, c := range pc.cells {
-			t := stageChain3(c.k, c.lo, c.hi, M, pc.tcnE1Dst,
-				pc.tcsE1Src, m.tcsI2, pc.tcsE1Dst, etaSrc, etaI2, etaDst)
-			res.TEx += c.p * t
-		}
-	}
+	// Eqs 20–21, 26–30: the merged unit averaged over its cells.
+	*res = PairResult{TEx: m.mergedUnit(pc, lambdaG), EEx: pc.eex, SF: pc.sf}
 
 	// Eq 31: source queue of the inter-cluster branch.
 	sigma := res.TEx - M*pc.tcnE1Src

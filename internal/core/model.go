@@ -373,12 +373,17 @@ func (m *Model) Evaluate(lambdaG float64) *Result {
 	var intraWeight, interWeight float64
 	for i := range m.cl {
 		cr := &res.PerCluster[i]
-		cr.U = m.cl[i].u
-
-		m.intraCluster(lambdaG, i, cr)
-		m.interCluster(lambdaG, i, cr, scratch)
-
-		cr.Mean = (1-cr.U)*cr.LIn + cr.U*cr.LOut
+		if i > 0 && m.classOf[i] == m.classOf[i-1] {
+			// Cluster i−1 is of the same class and sees the same
+			// destination-class sequence (the two only trade places
+			// in it), so its terms are cluster i's, bit for bit.
+			*cr = res.PerCluster[i-1]
+		} else {
+			cr.U = m.cl[i].u
+			m.intraCluster(lambdaG, i, cr)
+			m.interCluster(lambdaG, i, cr, scratch)
+			cr.Mean = (1-cr.U)*cr.LIn + cr.U*cr.LOut
+		}
 		if math.IsInf(cr.LIn, 1) || math.IsInf(cr.LOut, 1) {
 			res.Saturated = true
 		}
@@ -405,63 +410,17 @@ func (m *Model) Evaluate(lambdaG float64) *Result {
 	return res
 }
 
-// stageChain runs the backward stage recursion shared by Eqs 13–14 and
-// 26–29: stage K−1 has service M·lastService and no downstream wait; every
-// earlier stage k has service M·service(k) plus the waits of all later
-// stages, and contributes W_k = ½·eta(k)·T_k². It returns T_0.
-func stageChain(k int, flits float64, lastService float64,
-	service func(int) float64, eta func(int) float64) float64 {
-	t := flits * lastService
-	wSum := 0.5 * eta(k-1) * t * t
-	for s := k - 2; s >= 0; s-- {
-		t = flits*service(s) + wSum
-		w := 0.5 * eta(s) * t * t
-		wSum += w
-	}
-	return t
-}
-
-// stageChainUniform is stageChain specialized to the intra-cluster case
-// (Eqs 13–14): every earlier stage shares one service time and one
-// per-channel rate. Identical arithmetic, no closures — Evaluate's hot
-// path allocates nothing here.
+// stageChainUniform runs the backward stage recursion of Eqs 13–14: stage
+// K−1 has service M·lastService and no downstream wait; every earlier
+// stage has service M·service plus the waits of all later stages, and
+// contributes W_k = ½·eta·T_k². It returns T_0. The inter-cluster merged
+// unit runs the same recursion over three segments (mergedUnit).
 func stageChainUniform(k int, flits, lastService, service, eta float64) float64 {
 	t := flits * lastService
 	wSum := 0.5 * eta * t * t
 	for s := k - 2; s >= 0; s-- {
 		t = flits*service + wSum
 		wSum += 0.5 * eta * t * t
-	}
-	return t
-}
-
-// stageChain3 is stageChain specialized to the inter-cluster merged unit
-// (Eqs 26–29): stages [0,lo) run on the source ECN1, [lo,hi) on the
-// ICN2 (eta already includes Eq 28's relaxing factor), and [hi,k−1) on
-// the destination ECN1. Identical arithmetic to the closure form.
-func stageChain3(k, lo, hi int, flits, lastService float64,
-	svcA, svcB, svcC, etaA, etaB, etaC float64) float64 {
-	etaLast := etaC
-	switch {
-	case k-1 < lo:
-		etaLast = etaA
-	case k-1 < hi:
-		etaLast = etaB
-	}
-	t := flits * lastService
-	wSum := 0.5 * etaLast * t * t
-	for s := k - 2; s >= 0; s-- {
-		var sv, et float64
-		switch {
-		case s < lo:
-			sv, et = svcA, etaA
-		case s < hi:
-			sv, et = svcB, etaB
-		default:
-			sv, et = svcC, etaC
-		}
-		t = flits*sv + wSum
-		wSum += 0.5 * et * t * t
 	}
 	return t
 }

@@ -134,22 +134,7 @@ func (m *Model) pairCDSaturated(lambdaG float64, cp int) bool {
 func (m *Model) pairSrcSaturated(lambdaG float64, cp int) bool {
 	pc := &m.pairs[cp]
 	M := float64(m.Msg.Flits)
-	etaSrc := lambdaG * pc.etaSrcCof
-	etaDst := lambdaG * pc.etaDstCof
-	etaI2 := lambdaG * pc.etaI2Cof
-	var tEx float64
-	if len(pc.cells) <= maxFastCells {
-		var ts [maxFastCells]float64
-		m.cellLatencies(pc, etaSrc, etaI2, etaDst, ts[:])
-		for i, c := range pc.cells {
-			tEx += c.p * ts[i]
-		}
-	} else {
-		for _, c := range pc.cells {
-			tEx += c.p * stageChain3(c.k, c.lo, c.hi, M, pc.tcnE1Dst,
-				pc.tcsE1Src, m.tcsI2, pc.tcsE1Dst, etaSrc, etaI2, etaDst)
-		}
-	}
+	tEx := m.mergedUnit(pc, lambdaG)
 	sigma := tEx - M*pc.tcnE1Src
 	q := queueing.MG1{Lambda: lambdaG * pc.srcCof, MeanService: tEx, VarService: sigma * sigma}
 	_, err := q.Wait()

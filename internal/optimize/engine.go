@@ -268,10 +268,15 @@ func (st *searchState) evalChunk(ctx context.Context, ids []uint64) error {
 	results := st.results[:len(ids)]
 	if err := par.For(ctx, len(ids), st.engine.Workers, func(i int) {
 		sc := st.getScratch()
-		results[i] = st.space.evaluate(ids[i], sc)
+		results[i] = st.space.evaluate(ctx, ids[i], sc)
 		st.scratchPool.Put(sc)
 	}, nil); err != nil {
 		return err
+	}
+	// For returns nil when ctx ends during the chunk's last items; a
+	// performability run cut short there would read as infeasible.
+	if ctx.Err() != nil {
+		return context.Cause(ctx)
 	}
 	for i := range results {
 		st.absorb(&results[i])
@@ -448,7 +453,7 @@ func (st *searchState) runAnneal(ctx context.Context) error {
 
 	outs := make([][]candResult, chains)
 	return par.For(ctx, chains, st.engine.Workers, func(i int) {
-		outs[i] = st.space.annealChain(base.Derive(uint64(i)), steps)
+		outs[i] = st.space.annealChain(ctx, base.Derive(uint64(i)), steps)
 	}, func(i int) error {
 		for j := range outs[i] {
 			st.absorb(&outs[i][j])
@@ -459,18 +464,19 @@ func (st *searchState) runAnneal(ctx context.Context) error {
 }
 
 // annealChain walks one Metropolis chain of the given length and
-// returns every evaluation it made, in step order.
-func (sp *Space) annealChain(stream *rng.Stream, steps int) []candResult {
+// returns every evaluation it made, in step order. It stops early when
+// ctx ends; par.For then never absorbs the chain.
+func (sp *Space) annealChain(ctx context.Context, stream *rng.Stream, steps int) []candResult {
 	scratch := make([]int, sp.Dims())
 	digits := make([]int, sp.Dims())
 	sc := sp.newScratch()
 	out := make([]candResult, 0, steps)
 
 	cur := sp.Canonical(stream.Uint64()%sp.Size(), scratch)
-	curRes := sp.evaluate(cur, sc)
+	curRes := sp.evaluate(ctx, cur, sc)
 	out = append(out, curRes)
 
-	for step := 1; step < steps; step++ {
+	for step := 1; step < steps && ctx.Err() == nil; step++ {
 		frac := float64(step) / float64(steps)
 		temp := annealT0 * math.Pow(annealTEnd/annealT0, frac)
 
@@ -485,7 +491,7 @@ func (sp *Space) annealChain(stream *rng.Stream, steps int) []candResult {
 			digits[d] = v
 		}
 		cand := sp.Canonical(sp.ID(digits), scratch)
-		candRes := sp.evaluate(cand, sc)
+		candRes := sp.evaluate(ctx, cand, sc)
 		out = append(out, candRes)
 
 		if acceptMove(&curRes, &candRes, temp, stream) {

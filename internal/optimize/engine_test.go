@@ -88,7 +88,7 @@ func TestFrontierNonDominated(t *testing.T) {
 		if sp.Canonical(id, scratch) != id {
 			continue
 		}
-		r := sp.evaluate(id, sc)
+		r := sp.evaluate(context.Background(), id, sc)
 		if !r.feasible {
 			continue
 		}

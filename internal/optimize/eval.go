@@ -1,6 +1,7 @@
 package optimize
 
 import (
+	"context"
 	"math"
 
 	"github.com/ccnet/ccnet/internal/cluster"
@@ -80,8 +81,10 @@ const satTolerance = 1e-4
 // handle; evaluate is safe for concurrent calls with distinct scratch,
 // and the result is bit-identical whatever the scratch's cache state.
 // The candidate must be canonical (Canonical(id) == id) for dedup
-// accounting to hold, but evaluation itself does not care.
-func (sp *Space) evaluate(id uint64, sc *evalScratch) candResult {
+// accounting to hold, but evaluation itself does not care. ctx reaches
+// the candidate's performability run; a result evaluated while ctx
+// ended is meaningless, and the search discards it.
+func (sp *Space) evaluate(ctx context.Context, id uint64, sc *evalScratch) candResult {
 	res := candResult{id: id}
 	co := &sp.spec.Constraints
 
@@ -149,7 +152,7 @@ func (sp *Space) evaluate(id uint64, sc *evalScratch) candResult {
 	// Performability weighting: run the failure analysis and apply the
 	// availability constraints.
 	if sp.spec.Performability != nil {
-		if !sp.evaluatePerf(id, sc.digits, sys, &res) {
+		if !sp.evaluatePerf(ctx, id, sc.digits, sys, &res) {
 			return res
 		}
 	}

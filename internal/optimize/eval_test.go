@@ -1,6 +1,7 @@
 package optimize
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -46,8 +47,8 @@ func TestEvaluateScratchStateIrrelevant(t *testing.T) {
 		digits[d] = r.Intn(sp.radix[d])
 		id := sp.Canonical(sp.ID(digits), canon)
 
-		got := sp.evaluate(id, warm)
-		want := sp.evaluate(id, sp.newScratch())
+		got := sp.evaluate(context.Background(), id, warm)
+		want := sp.evaluate(context.Background(), id, sp.newScratch())
 		if !sameCandResult(&got, &want) {
 			t.Fatalf("step %d: candidate %d scores differently warm vs cold:\nwarm %+v\ncold %+v",
 				step, id, got, want)

@@ -92,7 +92,7 @@ func (sp *Space) candidateBlock(digits []int, nc int) (*perfab.Block, []int, boo
 // res.expLatency. It returns false (with res.reason set) when the
 // candidate is infeasible. The sampler seed derives from (spec seed,
 // candidate id), so the search stays deterministic at any parallelism.
-func (sp *Space) evaluatePerf(id uint64, digits []int, sys *cluster.System, res *candResult) bool {
+func (sp *Space) evaluatePerf(ctx context.Context, id uint64, digits []int, sys *cluster.System, res *candResult) bool {
 	co := &sp.spec.Constraints
 	nc, _ := icn2Levels(sys.K(), sys.NumClusters())
 	block, groupOf, hasClass := sp.candidateBlock(digits, nc)
@@ -111,7 +111,7 @@ func (sp *Space) evaluatePerf(id uint64, digits []int, sys *cluster.System, res 
 		Block:   block,
 		Seed:    rng.New(sp.spec.seed(), perfSeedSalt).Derive(id).Uint64(),
 	}
-	rep, err := (&perfab.Engine{Workers: 1}).Run(context.Background(), study)
+	rep, err := (&perfab.Engine{Workers: 1}).Run(ctx, study)
 	if err != nil {
 		res.reason = infAvailability
 		return false

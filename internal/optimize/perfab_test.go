@@ -3,7 +3,11 @@ package optimize
 import (
 	"context"
 	"encoding/json"
+	"errors"
+	"math"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -152,5 +156,88 @@ func TestPerfSpecValidation(t *testing.T) {
 		if _, err := Parse(strings.NewReader(raw), "test"); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
+	}
+}
+
+// tripContext reports cancellation from its n-th Err call on, so a
+// search can be cut at any point of its run, inside a candidate's
+// performability analysis included.
+type tripContext struct {
+	context.Context
+	left atomic.Int64
+	once sync.Once
+	done chan struct{}
+}
+
+func newTripContext(n int64) *tripContext {
+	c := &tripContext{Context: context.Background(), done: make(chan struct{})}
+	c.left.Store(n)
+	return c
+}
+
+func (c *tripContext) Err() error {
+	if c.left.Add(-1) > 0 {
+		return nil
+	}
+	c.once.Do(func() { close(c.done) })
+	return context.Canceled
+}
+
+func (c *tripContext) Done() <-chan struct{} { return c.done }
+
+// TestPerfRunHonoursSearchContext: a candidate's performability run
+// stops with the search context, and a search cut anywhere — between
+// candidates or inside the last candidate's analysis — returns the
+// context error, never a report that counts the cut candidate as
+// infeasible.
+func TestPerfRunHonoursSearchContext(t *testing.T) {
+	spec, err := Parse(strings.NewReader(perfSearchSpec), "test")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp, err := Compile(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done, cancel := context.WithCancel(context.Background())
+	cancel()
+	for id := uint64(0); id < sp.Size(); id++ {
+		live := sp.evaluate(context.Background(), id, sp.newScratch())
+		if live.availability == 0 || live.availability == 1 {
+			continue // no performability run, or nothing can fail
+		}
+		if cut := sp.evaluate(done, id, sp.newScratch()); cut.availability != 0 || cut.feasible {
+			t.Fatalf("candidate %d: performability ran to completion on a cancelled context", id)
+		}
+	}
+
+	// Count the context checks of a full run, then cut the search at
+	// every stride of them and at each of the final ones. The count
+	// varies a little between runs (the analysis's ordered emitter polls
+	// the context while it waits), so a cut past the end of a run is
+	// skipped.
+	full := newTripContext(math.MaxInt64)
+	if _, err := (&Engine{Workers: 1}).Run(full, spec); err != nil {
+		t.Fatal(err)
+	}
+	total := math.MaxInt64 - full.left.Load()
+	cuts := 0
+	for n := int64(1); n <= total; n++ {
+		if n > 20 && n < total-60 && n%(total/30+1) != 0 {
+			continue
+		}
+		ctx := newTripContext(n)
+		rep, err := (&Engine{Workers: 1}).Run(ctx, spec)
+		if ctx.left.Load() > 0 {
+			continue // the run ended before the cut
+		}
+		cuts++
+		if !errors.Is(err, context.Canceled) || rep != nil {
+			t.Fatalf("cut after %d of ~%d context checks: report %v, error %v; want only context.Canceled",
+				n, total, rep != nil, err)
+		}
+	}
+	if cuts < 50 {
+		t.Fatalf("only %d of the cuts landed inside a run", cuts)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -348,5 +349,71 @@ func TestFormatMillis(t *testing.T) {
 	}
 	if got := formatMillis(-time.Millisecond); got != "0.000" {
 		t.Errorf("formatMillis(negative) = %q, want clamped to 0.000", got)
+	}
+}
+
+// countingWriter is an http.ResponseWriter that keeps the body and
+// counts flushes.
+type countingWriter struct {
+	h       http.Header
+	body    []byte
+	flushes int
+}
+
+func (w *countingWriter) Header() http.Header { return w.h }
+func (w *countingWriter) WriteHeader(int)     {}
+func (w *countingWriter) Write(p []byte) (int, error) {
+	w.body = append(w.body, p...)
+	return len(p), nil
+}
+func (w *countingWriter) Flush() { w.flushes++ }
+
+// frameReader yields one NDJSON frame per Read, like a replica stream
+// that flushes each progress line.
+type frameReader struct{ frames []string }
+
+func (r *frameReader) Read(p []byte) (int, error) {
+	if len(r.frames) == 0 {
+		return 0, io.EOF
+	}
+	n := copy(p, r.frames[0])
+	r.frames = r.frames[1:]
+	return n, nil
+}
+
+// TestCopyFlushReusesBuffers: forwarding a response body must not cost
+// a fresh 32 KiB copy buffer per forward. Allocated bytes per forward
+// stay far below one buffer (the pool may drop an entry now and then,
+// and does so on purpose under the race detector, so the bound is half
+// a buffer, not zero), the body arrives intact, and a streamed body is
+// still flushed once per frame.
+func TestCopyFlushReusesBuffers(t *testing.T) {
+	const forwards = 200
+	payload := strings.Repeat(`{"ok":true}`, 10) + "\n"
+	w := &countingWriter{h: http.Header{}, body: make([]byte, 0, 64)}
+	copyFlush(w, strings.NewReader(payload), false) // warm the pool
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < forwards; i++ {
+		w.body = w.body[:0]
+		if err := copyFlush(w, strings.NewReader(payload), false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if perForward := (after.TotalAlloc - before.TotalAlloc) / forwards; perForward >= 16<<10 {
+		t.Fatalf("copyFlush allocates %d bytes per forward; want well under one 32 KiB buffer", perForward)
+	}
+	if string(w.body) != payload || w.flushes != 0 {
+		t.Fatalf("non-streaming copy: body %q, %d flushes; want the payload and none", w.body, w.flushes)
+	}
+
+	frames := []string{`{"kind":"progress","n":1}` + "\n", `{"kind":"progress","n":2}` + "\n", `{"kind":"result"}` + "\n"}
+	sw := &countingWriter{h: http.Header{}}
+	if err := copyFlush(sw, &frameReader{frames: append([]string(nil), frames...)}, true); err != nil {
+		t.Fatal(err)
+	}
+	if string(sw.body) != strings.Join(frames, "") || sw.flushes != len(frames) {
+		t.Fatalf("stream copy: body %q, %d flushes; want every frame, one flush each", sw.body, sw.flushes)
 	}
 }

@@ -160,6 +160,20 @@ func (s *Spec) BuildModels(sys *cluster.System, storeAndForward bool) ([]*core.M
 // models, consulted only by the auto grid (Max = AutoFraction × the
 // smallest per-series saturation point, so every series' curve fits).
 func (s *Spec) Grid(models []*core.Model) ([]float64, error) {
+	var sats []float64
+	if s.Traffic.Lambda.Auto {
+		sats = make([]float64, len(models))
+		for i, m := range models {
+			sats[i] = m.SaturationPoint(1.0, 1e-4)
+		}
+	}
+	return s.GridAt(sats)
+}
+
+// GridAt is Grid with the auto grid's per-series saturation points
+// already known: sats[i] is SaturationPoint(1.0, 1e-4) of series i's
+// paper model. Explicit grids ignore sats.
+func (s *Spec) GridAt(sats []float64) ([]float64, error) {
 	la := &s.Traffic.Lambda
 	if len(la.Values) > 0 {
 		return append([]float64(nil), la.Values...), nil
@@ -171,8 +185,7 @@ func (s *Spec) Grid(models []*core.Model) ([]float64, error) {
 			frac = 0.95
 		}
 		sat := 0.0
-		for i, m := range models {
-			p := m.SaturationPoint(1.0, 1e-4)
+		for i, p := range sats {
 			if p <= 0 {
 				return nil, fieldErr("traffic.lambda.auto",
 					"series %d (Lm=%d) saturates at any positive rate", i, s.Traffic.FlitBytes[i])

@@ -159,16 +159,20 @@ func (j *sweepJob) run(_ context.Context, workers int, _ func(any) error) ([]byt
 	spec := j.series()
 	g := j.grid
 	var models []*core.Model
+	// The served model's saturation point: an auto grid without S&F
+	// serves the paper model it bisected for the grid, so it is known.
+	sat := -1.0
 	if g == nil { // auto grid: materialize from the paper model
 		paper, err := spec.BuildModels(j.sys, false)
 		if err != nil {
 			return nil, badRequest(err)
 		}
-		if g, err = spec.Grid(paper); err != nil {
+		p := paper[0].SaturationPoint(1.0, 1e-4)
+		if g, err = spec.GridAt([]float64{p}); err != nil {
 			return nil, badRequest(err)
 		}
 		if !j.StoreAndForward {
-			models = paper
+			models, sat = paper, p
 		}
 	}
 	if models == nil {
@@ -178,9 +182,12 @@ func (j *sweepJob) run(_ context.Context, workers int, _ func(any) error) ([]byt
 		}
 	}
 	m := models[0]
+	if sat < 0 {
+		sat = m.SaturationPoint(1.0, 1e-4)
+	}
 	out := SweepResult{
 		System:          systemInfo(j.sys),
-		SaturationPoint: m.SaturationPoint(1.0, 1e-4),
+		SaturationPoint: sat,
 	}
 	for _, res := range m.SweepParallel(g, workers) {
 		out.Points = append(out.Points, pointJSON(res))

@@ -1,7 +1,9 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -254,6 +256,52 @@ func TestSweepAutoGrid(t *testing.T) {
 	}
 	if got := srv.Computes(); got != 1 {
 		t.Errorf("computes = %d, want 1", got)
+	}
+}
+
+// TestSweepAutoGridSharesBisection: an auto sweep without S&F serves
+// the paper model it bisected for the grid and reuses that saturation
+// point. The payload must equal, byte for byte, the one built with a
+// second bisection on a separately built served model, with and
+// without S&F.
+func TestSweepAutoGridSharesBisection(t *testing.T) {
+	for _, sf := range []bool{false, true} {
+		body := fmt.Sprintf(`{"system": {"preset": "small"}, "message": {"flits": 32, "flitBytes": 256},
+			"lambda": {"auto": true, "points": 8}, "storeAndForward": %v}`, sf)
+		jb, err := parseSweep(strings.NewReader(body), "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		j := jb.(*sweepJob)
+		got, err := j.run(context.Background(), 2, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		spec := j.series()
+		paper, err := spec.BuildModels(j.sys, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		grid, err := spec.Grid(paper)
+		if err != nil {
+			t.Fatal(err)
+		}
+		served, err := spec.BuildModels(j.sys, sf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := SweepResult{System: systemInfo(j.sys), SaturationPoint: served[0].SaturationPoint(1.0, 1e-4)}
+		for _, res := range served[0].Sweep(grid) {
+			want.Points = append(want.Points, pointJSON(res))
+		}
+		wantBytes, err := json.Marshal(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(wantBytes) {
+			t.Errorf("storeAndForward=%v: auto sweep payload\n%s\nwant\n%s", sf, got, wantBytes)
+		}
 	}
 }
 
